@@ -170,8 +170,9 @@ class MetricsCollector:
         least one actually differs.  The collector — not the gauges — owns
         this change gate on purpose: the fold points (which define the exact
         IEEE-754 grouping of the accumulated averages) become a pure
-        function of the sampled value series, identical across engines,
-        state backends, batching on/off, and cold vs restored runs.  In
+        function of the sampled value series, identical across state
+        backends, fused or per-departure release, and cold vs restored
+        runs.  In
         particular, a restored collector's forced recompute (versions reset
         to ``-1``) lands on equal values and takes the same no-fold path the
         uninterrupted run took.

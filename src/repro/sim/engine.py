@@ -1,21 +1,15 @@
-"""Flat typed-event calendar: the simulator's production engine.
+"""Flat typed-event calendar: the simulator's event engine.
 
-The generator engine in :mod:`repro.sim.environment` models every VM as a
-Python generator ``Process`` with a bootstrap ``Event`` and two ``Timeout``\\ s
-— flexible, but it materializes the whole trace up-front and pays generator
-frames, callback indirection, and three heap pushes per VM.  A DDC trace only
-ever produces two event kinds, so the calendar can be *typed* and flat:
+A DDC trace only ever produces two event kinds, so the calendar is *typed*
+and flat — no generator processes, no callbacks per event:
 
 * **arrivals** come pre-sorted by arrival time and are consumed lazily from
   an iterator — O(1) engine state per pending arrival, O(active VMs) overall
   when the caller streams the trace;
 * **departures** live on a binary heap of ``(time, sequence, payload)``.
 
-Tie-breaking replicates the generator engine exactly, so both engines emit
-bit-identical event streams: at equal times arrivals fire before departures
-(every arrival timeout is scheduled during bootstrap, before any departure
-timeout exists, and the heap orders equal times by scheduling sequence), and
-equal-time departures fire in placement-commit order.
+Tie rule: at equal times arrivals fire before departures, and equal-time
+departures fire in placement-commit order (the heap's sequence counter).
 
 The calendar is *resumable*: :meth:`bind_arrivals` attaches the arrival
 stream once and :meth:`advance` drives it any number of times (optionally up
@@ -39,10 +33,8 @@ P = TypeVar("P")
 #: ``on_arrival(request, now)`` -> departure payload, or None when the VM is
 #: dropped (no departure is scheduled).
 ArrivalHandler = Callable[[ResolvedRequest, float], Optional[P]]
-#: ``on_departure(payload, now)`` releases whatever the arrival committed.
-DepartureHandler = Callable[[P, float], Any]
-#: ``on_departures(batch)`` applies a run of consecutive departures at once;
-#: ``batch`` is ``[(time, payload), ...]`` in exact pop order.
+#: ``on_departures(batch)`` releases what a run of consecutive departures
+#: committed; ``batch`` is ``[(time, payload), ...]`` in exact pop order.
 DepartureBatchHandler = Callable[[list[tuple[float, Any]]], Any]
 
 
@@ -151,40 +143,34 @@ class FlatEngine:
         self,
         arrivals: Iterable[ResolvedRequest],
         on_arrival: ArrivalHandler,
-        on_departure: DepartureHandler,
+        on_departures: DepartureBatchHandler,
         until: float | None = None,
-        on_departures: DepartureBatchHandler | None = None,
     ) -> float:
         """One-shot convenience: bind ``arrivals`` and advance the calendar."""
         self.bind_arrivals(arrivals)
-        return self.advance(
-            on_arrival, on_departure, until=until, on_departures=on_departures
-        )
+        return self.advance(on_arrival, on_departures, until=until)
 
     def advance(
         self,
         on_arrival: ArrivalHandler,
-        on_departure: DepartureHandler,
+        on_departures: DepartureBatchHandler,
         until: float | None = None,
-        on_departures: DepartureBatchHandler | None = None,
     ) -> float:
         """Drive the calendar until both queues drain (or past ``until``).
 
         Returns the final clock.  With ``until`` given, events strictly after
         ``until`` are left unprocessed and the clock lands exactly on
-        ``until`` — matching ``Environment.run`` semantics, so a partial run
-        leaves cluster state comparable across engines.  Calling
-        :meth:`advance` again continues from where the last call stopped.
+        ``until``.  Calling :meth:`advance` again continues from where the
+        last call stopped.
 
-        With ``on_departures`` given, runs of consecutive departures are
-        drained in one sweep — every departure up to (strictly before) the
-        next pending arrival and within ``until`` pops in exact heap order
-        into one list, the clock jumps to the last entry, and the whole run
-        is handed to ``on_departures`` at once so the caller can apply it
-        with fused array operations.  Between two scheduler decision points
-        (arrivals) nothing observes intermediate clocks, so batching is
-        invisible to event ordering; a batch never crosses ``until``, so
-        checkpoints cannot land inside one.
+        Departures drain in runs: every departure up to (strictly before)
+        the next pending arrival and within ``until`` pops in exact heap
+        order into one list, the clock jumps to the last entry, and the
+        whole run is handed to ``on_departures`` at once so the caller can
+        apply it with fused array operations.  Between two scheduler
+        decision points (arrivals) nothing observes intermediate clocks, so
+        batching is invisible to event ordering; a batch never crosses
+        ``until``, so checkpoints cannot land inside one.
         """
         if until is not None and until < self._now:
             raise SimulationError(
@@ -196,7 +182,7 @@ class FlatEngine:
             if pending is not None and (
                 not departures or pending.vm.arrival <= departures[0][0]
             ):
-                # Arrival next (ties go to arrivals, like the generator engine).
+                # Arrival next (ties go to arrivals).
                 time = pending.vm.arrival
                 if time < self._now:
                     raise SimulationError(
@@ -211,7 +197,7 @@ class FlatEngine:
                 if payload is not None:
                     self.schedule_departure(pending.vm.departure, payload)
                 self._pop_arrival()
-            elif on_departures is not None:
+            else:
                 # Departure next: collect the whole run up to the next
                 # arrival (ties go to arrivals — strict bound) and horizon.
                 bound = pending.vm.arrival if pending is not None else None
@@ -230,14 +216,6 @@ class FlatEngine:
                     batch.append((time, payload))
                 self._now = batch[-1][0]
                 on_departures(batch)
-            else:
-                time = departures[0][0]
-                if until is not None and time > until:
-                    self._now = until
-                    return self._now
-                time, _, payload = heapq.heappop(departures)
-                self._now = time
-                on_departure(payload, time)
         if until is not None:
             self._now = max(self._now, until)
         return self._now

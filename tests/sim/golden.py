@@ -12,10 +12,11 @@ Re-record (only when a change is *meant* to move simulated outcomes)::
 
     PYTHONPATH=src python tests/sim/golden.py --write
 
-While recording, every cell also runs on the generator engine, with
-departure batching off, with lazy gauges off, and on the objects state
-backend; the recorder refuses to write unless all of them agree with the
-default stack, so the pins are the reference engine's values too.
+While recording, every cell also runs on the objects state backend, and
+the recorder refuses to write unless it agrees with the default stack.  The
+pins were first recorded while a generator-process reference engine, a
+per-departure release mode and an eager-gauge mode still existed; all of
+them agreed with these values cell for cell.
 """
 
 from __future__ import annotations
@@ -25,9 +26,13 @@ import hashlib
 import json
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.config import PRESETS
+from repro.sim import DDCSimulator, EventLog
+from repro.state import state_backend
+from repro.workloads import SyntheticWorkloadParams, generate_synthetic
 
 GOLDEN_PATH = Path(__file__).with_name("golden_runs.json")
 
@@ -78,18 +83,14 @@ def summary_sha256(summary: dict) -> str:
     return hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
 
 
-def run_cell(cell: Cell, **sim_kwargs) -> dict:
-    """Run one cell (simulator built inside the caller's knob context)."""
-    from repro.config import PRESETS
-    from repro.sim import DDCSimulator, EventLog
-    from repro.workloads import SyntheticWorkloadParams, generate_synthetic
-
+def run_cell(cell: Cell) -> dict:
+    """Run one cell (the simulator latches the caller's state backend)."""
     vms = generate_synthetic(SyntheticWorkloadParams(count=cell.count), seed=cell.seed)
     until = None
     if cell.truncated:
         until = sorted(vm.departure for vm in vms)[len(vms) // 2]
     log = EventLog()
-    sim = DDCSimulator(PRESETS[cell.preset](), cell.scheduler, event_log=log, **sim_kwargs)
+    sim = DDCSimulator(PRESETS[cell.preset](), cell.scheduler, event_log=log)
     result = sim.run(vms, until=until)
     if until is None:
         log.audit()
@@ -103,30 +104,6 @@ def run_cell(cell: Cell, **sim_kwargs) -> dict:
     }
 
 
-@contextmanager
-def knobs(**env: str):
-    """Pin ``REPRO_*`` environment knobs for the enclosed block."""
-    prior = {var: os.environ.get(var) for var in env}
-    os.environ.update(env)
-    try:
-        yield
-    finally:
-        for var, value in prior.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
-#: Alternative implementations the recorder cross-checks every cell on.
-CROSS_CHECKS = {
-    "generator engine": ({}, {"engine": "generator"}),
-    "batching off": ({"REPRO_EVENT_BATCHING": "off"}, {}),
-    "lazy gauges off": ({"REPRO_LAZY_GAUGES": "off"}, {}),
-    "objects backend": ({"REPRO_STATE_BACKEND": "objects"}, {}),
-}
-
-
 def record() -> dict:
     """Run every cell, cross-check it, and return its pin by cell key."""
     for var in list(os.environ):
@@ -135,11 +112,9 @@ def record() -> dict:
     entries = {}
     for cell in cells():
         pin = run_cell(cell)
-        for label, (env, kwargs) in CROSS_CHECKS.items():
-            with knobs(**env):
-                other = run_cell(cell, **kwargs)
-            if other != pin:
-                raise SystemExit(f"{cell.key}: {label} disagrees with the default stack")
+        with state_backend("objects"):
+            if run_cell(cell) != pin:
+                raise SystemExit(f"{cell.key}: the objects backend disagrees")
         entry = {
             "digest": pin["digest"],
             "end_time": pin["end_time"],
@@ -168,5 +143,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
     sys.exit(main())

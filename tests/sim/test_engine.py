@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.config import tiny_test
 from repro.errors import SimulationError
-from repro.sim import DDCSimulator, ENGINES, FlatEngine, default_engine
+from repro.sim import DDCSimulator, EventLog, FlatEngine
 from repro.workloads import resolve
 from tests.conftest import make_vm
 
@@ -17,25 +16,32 @@ def _request(spec, vm_id=0, arrival=0.0, lifetime=10.0):
     )
 
 
-def _drive(engine, requests, until=None, place=lambda r: True):
-    """Run the engine recording the event order; returns the trace."""
+def _drive(engine, requests, until=None, place=lambda r: True, batches=None):
+    """Run the engine recording the event order; returns the trace.
+
+    ``batches``, when given, collects the vm ids of each departure batch.
+    """
     events = []
 
     def on_arrival(request, now):
         events.append(("arrival", request.vm_id, now))
         return request if place(request) else None
 
-    def on_departure(payload, now):
-        events.append(("departure", payload.vm_id, now))
+    def on_departures(batch):
+        assert engine.now == batch[-1][0]  # the clock sits on the last entry
+        for now, payload in batch:
+            events.append(("departure", payload.vm_id, now))
+        if batches is not None:
+            batches.append([payload.vm_id for _, payload in batch])
 
-    engine.run(iter(requests), on_arrival, on_departure, until=until)
+    engine.run(iter(requests), on_arrival, on_departures, until=until)
     return events
 
 
 class TestFlatEngine:
     def test_empty_run(self):
         engine = FlatEngine()
-        assert engine.run(iter(()), lambda r, t: None, lambda p, t: None) == 0.0
+        assert engine.run(iter(()), lambda r, t: None, lambda b: None) == 0.0
         assert engine.active_count == 0
 
     def test_lifecycle_order_and_clock(self, tiny_spec):
@@ -50,9 +56,7 @@ class TestFlatEngine:
         assert engine.now == 4.5  # last departure: arrival 2 + lifetime 2.5
 
     def test_equal_time_arrival_beats_departure(self, tiny_spec):
-        # VM 0 departs at t=5; VM 1 arrives at t=5. The generator engine
-        # fires the arrival first (its timeout was scheduled during
-        # bootstrap); the flat calendar must match.
+        # VM 0 departs at t=5; VM 1 arrives at t=5: arrivals win ties.
         requests = [
             _request(tiny_spec, vm_id=0, arrival=0.0, lifetime=5.0),
             _request(tiny_spec, vm_id=1, arrival=5.0, lifetime=1.0),
@@ -93,7 +97,7 @@ class TestFlatEngine:
     def test_until_in_the_past_rejected(self):
         engine = FlatEngine(initial_time=10.0)
         with pytest.raises(SimulationError):
-            engine.run(iter(()), lambda r, t: None, lambda p, t: None, until=5.0)
+            engine.run(iter(()), lambda r, t: None, lambda b: None, until=5.0)
 
     def test_unsorted_arrival_stream_rejected(self, tiny_spec):
         requests = [_request(tiny_spec, vm_id=0, arrival=5.0),
@@ -101,35 +105,40 @@ class TestFlatEngine:
         with pytest.raises(SimulationError, match="not sorted"):
             _drive(FlatEngine(), requests)
 
+    def test_batch_stops_before_next_arrival(self, tiny_spec):
+        # VMs 0-2 depart at 3, 4, 5; VM 3 arrives at 5 (ties go to the
+        # arrival), so 0 and 1 drain as one batch and 2 waits behind the
+        # arrival, then drains with 3's departure once no arrival is left.
+        requests = [
+            _request(tiny_spec, vm_id=0, arrival=0.0, lifetime=3.0),
+            _request(tiny_spec, vm_id=1, arrival=1.0, lifetime=3.0),
+            _request(tiny_spec, vm_id=2, arrival=2.0, lifetime=3.0),
+            _request(tiny_spec, vm_id=3, arrival=5.0, lifetime=1.0),
+        ]
+        batches = []
+        events = _drive(FlatEngine(), requests, batches=batches)
+        assert batches == [[0, 1], [2, 3]]
+        assert events.index(("arrival", 3, 5.0)) < events.index(("departure", 2, 5.0))
+
+    def test_batch_never_crosses_until(self, tiny_spec):
+        engine = FlatEngine()
+        requests = [_request(tiny_spec, vm_id=i, arrival=0.0, lifetime=float(i + 1))
+                    for i in range(4)]
+        batches = []
+        _drive(engine, requests, until=2.0, batches=batches)
+        assert batches == [[0, 1]]  # departures at 1 and 2; 3 and 4 wait
+        assert engine.now == 2.0
+        engine.advance(lambda r, t: None, lambda b: batches.append([p.vm_id for _, p in b]))
+        assert batches == [[0, 1], [2, 3]]
+
     def test_departure_in_the_past_rejected(self):
         engine = FlatEngine(initial_time=3.0)
         with pytest.raises(SimulationError):
             engine.schedule_departure(1.0, object())
 
 
-class TestSimulatorEngineSelection:
-    def test_default_engine_is_flat(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        assert default_engine() == "flat"
-        assert DDCSimulator(tiny_test(), "risa").engine == "flat"
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "generator")
-        assert DDCSimulator(tiny_test(), "risa").engine == "generator"
-
-    def test_bad_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "warp")
-        with pytest.raises(SimulationError):
-            DDCSimulator(tiny_test(), "risa")
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError):
-            DDCSimulator(tiny_test(), "risa", engine="warp")
-
-    def test_engine_names_exported(self):
-        assert ENGINES == ("flat", "generator")
-
-    def test_unsorted_trace_handled_by_flat_engine(self, tiny_spec):
+class TestSimulatorTraceOrder:
+    def test_unsorted_trace_sorted_before_the_calendar(self, tiny_spec):
         # Trace files need not be arrival-sorted; the simulator restores
         # arrival order (stable) before streaming into the calendar.
         vms = [
@@ -138,21 +147,20 @@ class TestSimulatorEngineSelection:
             make_vm(vm_id=1, arrival=1.0, lifetime=2.0, cpu_cores=4,
                     ram_gb=4.0, storage_gb=64.0),
         ]
-        result = DDCSimulator(tiny_spec, "risa", engine="flat").run(vms)
+        result = DDCSimulator(tiny_spec, "risa").run(vms)
         assert result.summary.scheduled_vms == 2
         assert result.end_time == 11.0
 
     def test_unsorted_generator_input_buffered_and_sorted(self, tiny_spec):
-        # Non-sequence iterables keep the pre-flat-engine contract: any
-        # order is accepted (buffered + sorted) unless stream=True opts in
-        # to lazy consumption.
+        # Non-sequence iterables: any order is accepted (buffered + sorted)
+        # unless stream=True opts in to lazy consumption.
         def trace():
             yield make_vm(vm_id=0, arrival=9.0, lifetime=2.0, cpu_cores=4,
                           ram_gb=4.0, storage_gb=64.0)
             yield make_vm(vm_id=1, arrival=1.0, lifetime=2.0, cpu_cores=4,
                           ram_gb=4.0, storage_gb=64.0)
 
-        result = DDCSimulator(tiny_spec, "risa", engine="flat").run(trace())
+        result = DDCSimulator(tiny_spec, "risa").run(trace())
         assert result.summary.scheduled_vms == 2
         assert result.end_time == 11.0
 
@@ -163,7 +171,7 @@ class TestSimulatorEngineSelection:
             yield make_vm(vm_id=1, arrival=1.0, cpu_cores=4, ram_gb=4.0,
                           storage_gb=64.0)
 
-        sim = DDCSimulator(tiny_spec, "risa", engine="flat")
+        sim = DDCSimulator(tiny_spec, "risa")
         with pytest.raises(SimulationError, match="not sorted"):
             sim.run(trace(), stream=True)
 
@@ -173,14 +181,13 @@ class TestSimulatorEngineSelection:
                 yield make_vm(vm_id=i, arrival=float(i), lifetime=2.0,
                               cpu_cores=4, ram_gb=4.0, storage_gb=64.0)
 
-        result = DDCSimulator(tiny_spec, "risa", engine="flat").run(
+        result = DDCSimulator(tiny_spec, "risa").run(
             trace(), stream=True
         )
         assert result.summary.scheduled_vms == 3
 
     def test_equal_arrivals_keep_trace_order_when_sorting(self, tiny_spec):
-        # Stable sort: among equal arrival times the trace order decides,
-        # matching the generator engine's bootstrap-sequence tie rule.
+        # Stable sort: among equal arrival times the trace order decides.
         vms = [
             make_vm(vm_id=0, arrival=5.0, lifetime=1.0, cpu_cores=4,
                     ram_gb=4.0, storage_gb=64.0),
@@ -189,9 +196,7 @@ class TestSimulatorEngineSelection:
             make_vm(vm_id=2, arrival=1.0, lifetime=1.0, cpu_cores=4,
                     ram_gb=4.0, storage_gb=64.0),
         ]
-        from repro.sim import EventLog
-
         log = EventLog()
-        DDCSimulator(tiny_spec, "risa", event_log=log, engine="flat").run(vms)
+        DDCSimulator(tiny_spec, "risa", event_log=log).run(vms)
         arrivals = [e.vm_id for e in log.events if e.kind == "arrival"]
         assert arrivals == [1, 2, 0]

@@ -1,46 +1,22 @@
-"""Batched event application and lazy gauges: bit-identity pins.
+"""Departure batches and lazy gauges: checkpoint cuts inside deferred state.
 
-``REPRO_EVENT_BATCHING`` regroups departure bursts into fused array
-applications and ``REPRO_LAZY_GAUGES`` defers gauge integral folds into a
-pending register — both are *regroupings* of the same arithmetic, never
-approximations, so every observable (event digest, summary, end time) must
-be bit-identical with the knobs on or off.  These tests pin that over
-seeds 0-19 x all four paper schedulers x the two-tier paper preset plus
-the VL2 and fat-tree zoo fabrics, and additionally place checkpoint /
-restore / fork cuts *inside* a deferred-gauge interval and *inside* a
-departure burst — the two places where deferred state could leak across a
-snapshot boundary.
+The flat engine hands each run of consecutive departures to the simulator
+as one batch, and the gauge bank defers integral folds into a pending
+register.  Both regroup the same arithmetic, so a checkpoint / restore /
+fork cut placed *inside* a deferred-gauge interval or *inside* a departure
+burst — the two places where deferred state could leak across a snapshot
+boundary — must leave every observable (event digest, summary, end time)
+equal to the uncut run.  The uncut runs themselves are pinned by
+``test_golden_runs.py``.
 """
-
-import os
-from contextlib import contextmanager
 
 import pytest
 
-from repro.config import PRESETS, paper_default
-from repro.errors import SimulationError
-from repro.metrics.gauges import LAZY_GAUGES_ENV
+from repro.config import paper_default
 from repro.schedulers import PAPER_SCHEDULERS
-from repro.sim import BATCHING_ENV_VAR, DDCSimulator, EventLog, event_batching_enabled
+from repro.sim import DDCSimulator, EventLog
+from repro.state import state_backend
 from repro.workloads import SyntheticWorkloadParams, generate_synthetic
-
-#: Two-tier paper fabric plus the multi-tier zoo presets.
-BATCHING_PRESETS = ("paper", "vl2", "fat-tree")
-
-
-@contextmanager
-def knobs(**env):
-    """Pin REPRO_* environment knobs for one simulator construction."""
-    prior = {var: os.environ.get(var) for var in env}
-    os.environ.update(env)
-    try:
-        yield
-    finally:
-        for var, value in prior.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
 
 
 def trace(count=60, seed=0):
@@ -53,38 +29,10 @@ def masked(summary):
     return d
 
 
-def run_once(spec, scheduler, vms, **env):
-    with knobs(**env):
-        log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log, engine="flat")
-        result = sim.run(vms)
+def run_once(spec, scheduler, vms):
+    log = EventLog()
+    result = DDCSimulator(spec, scheduler, event_log=log).run(vms)
     return log.digest(), masked(result.summary), result.end_time
-
-
-class TestKnobBitIdentity:
-    @pytest.mark.parametrize("preset", BATCHING_PRESETS)
-    @pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
-    @pytest.mark.parametrize("seed", range(20))
-    def test_batching_and_lazy_gauges_change_nothing(self, preset, scheduler, seed):
-        """Default (batched + lazy), batching off, and lazy gauges off all
-        produce the same digest, summary, and end time.
-
-        The default trace shape guarantees a departure burst (lifetimes
-        dwarf the arrival span, so the whole departure tail drains as one
-        batch) — the fused scatter-add path runs, it is not vacuous.
-        """
-        spec = PRESETS[preset]()
-        vms = trace(seed=seed)
-        batched = run_once(spec, scheduler, vms)
-        scalar = run_once(spec, scheduler, vms, **{BATCHING_ENV_VAR: "off"})
-        eager = run_once(spec, scheduler, vms, **{LAZY_GAUGES_ENV: "off"})
-        assert batched == scalar
-        assert batched == eager
-
-    def test_bad_knob_value_rejected(self):
-        with knobs(**{BATCHING_ENV_VAR: "sideways"}):
-            with pytest.raises(SimulationError):
-                event_batching_enabled()
 
 
 class TestCutsInsideDeferredState:
@@ -115,7 +63,7 @@ class TestCutsInsideDeferredState:
         vms = trace(seed=seed)
         digest, summary, end = self._uncut(spec, scheduler, vms)
         log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log, engine="flat")
+        sim = DDCSimulator(spec, scheduler, event_log=log)
         sim.start_run(vms)
         sim.advance(until=self._mid_gauge_interval(vms))
         checkpoint = sim.full_checkpoint()
@@ -137,7 +85,7 @@ class TestCutsInsideDeferredState:
         vms = trace(seed=seed)
         digest, summary, end = self._uncut(spec, scheduler, vms)
         log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log, engine="flat")
+        sim = DDCSimulator(spec, scheduler, event_log=log)
         sim.start_run(vms)
         sim.advance(until=self._mid_departure_burst(vms))
         checkpoint = sim.full_checkpoint()
@@ -157,7 +105,7 @@ class TestCutsInsideDeferredState:
         vms = trace(seed=3)
         digest, summary, end = self._uncut(spec, scheduler, vms)
         log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log, engine="flat")
+        sim = DDCSimulator(spec, scheduler, event_log=log)
         sim.start_run(vms)
         sim.advance(until=self._mid_departure_burst(vms))
         clone = sim.fork()
@@ -181,7 +129,7 @@ class TestCutsInsideDeferredState:
         digest, summary, end = self._uncut(spec, scheduler, vms)
         times = sorted(vm.arrival for vm in vms)
         log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log, engine="flat")
+        sim = DDCSimulator(spec, scheduler, event_log=log)
         sim.start_run(vms)
         sim.advance(until=times[len(times) // 2])  # events at the cut run
         clone = sim.fork()
@@ -194,22 +142,22 @@ class TestCutsInsideDeferredState:
         assert clone_result.end_time == parent_result.end_time == end
 
     @pytest.mark.parametrize("scheduler", ("nulb", "nalb"))
-    def test_fork_under_scalar_and_eager_knobs(self, scheduler):
-        """Cuts agree with the uncut run under the off knobs too — the
-        scalar/eager paths share the same checkpoint contract."""
+    def test_fork_on_scalar_release_path(self, scheduler):
+        """Cuts agree with the uncut run on the objects backend too, whose
+        departures take the scalar per-event loop instead of the fused
+        batch — both paths share the same checkpoint contract."""
         spec = paper_default()
         vms = trace(seed=7)
         reference = self._uncut(spec, scheduler, vms)
-        for env in ({BATCHING_ENV_VAR: "off"}, {LAZY_GAUGES_ENV: "off"}):
-            with knobs(**env):
-                log = EventLog()
-                sim = DDCSimulator(spec, scheduler, event_log=log, engine="flat")
-                sim.start_run(vms)
-                sim.advance(until=self._mid_departure_burst(vms))
-                clone = sim.fork()
-                clone_result = clone.finish()
-                parent_result = sim.finish()
-            assert (log.digest(), masked(parent_result.summary),
-                    parent_result.end_time) == reference
-            assert (clone.event_log.digest(), masked(clone_result.summary),
-                    clone_result.end_time) == reference
+        with state_backend("objects"):  # the fork is built inside it too
+            log = EventLog()
+            sim = DDCSimulator(spec, scheduler, event_log=log)
+            sim.start_run(vms)
+            sim.advance(until=self._mid_departure_burst(vms))
+            clone = sim.fork()
+            clone_result = clone.finish()
+            parent_result = sim.finish()
+        assert (log.digest(), masked(parent_result.summary),
+                parent_result.end_time) == reference
+        assert (clone.event_log.digest(), masked(clone_result.summary),
+                clone_result.end_time) == reference

@@ -3,9 +3,9 @@
 A run interrupted at any point and resumed — in place via ``restore_run`` or
 into an independent simulator via ``fork()`` — must be indistinguishable
 from the uninterrupted run: same event digest, same summary (modulo
-wall-clock scheduler time), for every paper scheduler, on either reference
-engine's uninterrupted output.  These tests fork at 25/50/75% of the trace
-over seeds 0-9 and additionally pin that abandoned branches (perturbations
+wall-clock scheduler time), for every paper scheduler, and equal to the
+recorded golden pins.  These tests fork at 25/50/75% of the trace over
+seeds 0-9 and additionally pin that abandoned branches (perturbations
 included) leave no trace after a rewind, and that forks are fully
 independent of their parent.
 """
@@ -18,6 +18,7 @@ from repro.schedulers import PAPER_SCHEDULERS
 from repro.sim import DDCSimulator, EventLog
 from repro.types import RESOURCE_ORDER
 from repro.workloads import SyntheticWorkloadParams, generate_synthetic
+from tests.sim.golden import TRACE_COUNT, Cell, load, summary_sha256
 
 FRACTIONS = (0.25, 0.5, 0.75)
 
@@ -32,9 +33,9 @@ def masked(summary):
     return d
 
 
-def uninterrupted(spec, scheduler, vms, engine):
+def uninterrupted(spec, scheduler, vms):
     log = EventLog()
-    sim = DDCSimulator(spec, scheduler, event_log=log, engine=engine)
+    sim = DDCSimulator(spec, scheduler, event_log=log)
     result = sim.run(vms)
     return log.digest(), masked(result.summary), result.end_time
 
@@ -60,37 +61,31 @@ def stateful_with_checkpoints(spec, scheduler, vms):
 class TestForkContinuationBitIdentical:
     @pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
     @pytest.mark.parametrize("seed", range(10))
-    def test_restore_matches_both_engines(self, scheduler, seed):
-        """Fork at 25/50/75% and continue: digest + summary equal the
-        uninterrupted run on the flat *and* the generator engine."""
-        spec = paper_default()
-        vms = trace(seed=seed)
-        flat_digest, flat_summary, flat_end = uninterrupted(spec, scheduler, vms, "flat")
-        gen_digest, gen_summary, gen_end = uninterrupted(
-            spec, scheduler, vms, "generator"
+    def test_restore_matches_golden_pin(self, scheduler, seed):
+        """Fork at 25/50/75% and continue: digest, summary and end time
+        equal the golden pin of the uninterrupted run."""
+        pin = load()[Cell("paper", scheduler, seed).key]
+        vms = trace(count=TRACE_COUNT, seed=seed)
+        sim, log, result, checkpoints = stateful_with_checkpoints(
+            paper_default(), scheduler, vms
         )
-        assert flat_digest == gen_digest  # both references agree
-        assert flat_summary == gen_summary
-
-        sim, log, result, checkpoints = stateful_with_checkpoints(spec, scheduler, vms)
         # The stateful pass itself reproduces the one-shot run.
-        assert log.digest() == flat_digest
-        assert masked(result.summary) == flat_summary
-        assert result.end_time == flat_end == gen_end
-
+        assert log.digest() == pin["digest"]
+        runs = [result]
         for checkpoint in checkpoints:
             sim.restore_run(checkpoint)
-            resumed = sim.finish()
-            assert log.digest() == flat_digest
-            assert masked(resumed.summary) == flat_summary
-            assert resumed.end_time == flat_end
+            runs.append(sim.finish())
+            assert log.digest() == pin["digest"]
+        for run in runs:
+            assert summary_sha256(masked(run.summary)) == pin["summary_sha256"]
+            assert run.end_time == pin["end_time"]
 
     @pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
     def test_oversubscribed_drop_paths(self, scheduler):
         """Forks replay drop decisions exactly on a saturated tiny cluster."""
         spec = tiny_test()
         vms = trace(count=200, seed=1)
-        digest, summary, end = uninterrupted(spec, scheduler, vms, "flat")
+        digest, summary, end = uninterrupted(spec, scheduler, vms)
         assert summary["dropped_vms"] > 0  # the drop path is exercised
         sim, log, result, checkpoints = stateful_with_checkpoints(spec, scheduler, vms)
         assert log.digest() == digest
@@ -122,7 +117,7 @@ class TestForkIndependence:
         observes the other's placements, releases, or metrics."""
         spec = paper_default()
         vms = trace(count=120, seed=3)
-        digest, summary, end = uninterrupted(spec, "risa", vms, "flat")
+        digest, summary, end = uninterrupted(spec, "risa", vms)
 
         log = EventLog()
         sim = DDCSimulator(spec, "risa", event_log=log)
@@ -155,7 +150,7 @@ class TestForkIndependence:
         """The seeded random baseline replays its draws after a fork."""
         spec = paper_default()
         vms = trace(count=100, seed=5)
-        digest, summary, _ = uninterrupted(spec, "random", vms, "flat")
+        digest, summary, _ = uninterrupted(spec, "random", vms)
         log = EventLog()
         sim = DDCSimulator(spec, "random", event_log=log)
         sim.start_run(vms)
@@ -175,7 +170,7 @@ class TestAbandonedBranchesLeaveNoTrace:
         branch must not leak into the restored continuation."""
         spec = paper_default()
         vms = trace(count=150, seed=2)
-        digest, summary, _ = uninterrupted(spec, "risa", vms, "flat")
+        digest, summary, _ = uninterrupted(spec, "risa", vms)
 
         log = EventLog()
         sim = DDCSimulator(spec, "risa", event_log=log)
@@ -252,11 +247,6 @@ class TestPerturbedForks:
 
 
 class TestStatefulRunGuards:
-    def test_requires_flat_engine(self):
-        sim = DDCSimulator(paper_default(), "risa", engine="generator")
-        with pytest.raises(SimulationError, match="flat engine"):
-            sim.start_run(trace(count=10))
-
     def test_requires_started_run(self):
         sim = DDCSimulator(paper_default(), "risa")
         with pytest.raises(SimulationError, match="start_run"):

@@ -6,8 +6,8 @@ gauge accumulators — into flat numpy arrays.  These tests pin the contract
 that makes that safe: on any trace, ``REPRO_STATE_BACKEND=arrays`` and
 ``=objects`` produce the *same* event stream (EventLog digest), the same
 summary (modulo wall-clock scheduler time), and the same end state, for all
-four paper schedulers, on both engines, through drops, rollbacks, and
-fork/restore continuations.
+four paper schedulers, through drops, rollbacks, and fork/restore
+continuations.
 """
 
 import pytest
@@ -28,21 +28,19 @@ def _arrays_default(monkeypatch):
     monkeypatch.setenv(STATE_BACKEND_ENV, "arrays")
 
 
-def run_mode(spec, scheduler, vms, mode, engine="flat", until=None):
+def run_mode(spec, scheduler, vms, mode, until=None):
     """One run with the state backend latched at construction."""
     with state_backend(mode):
         log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log, engine=engine)
+        sim = DDCSimulator(spec, scheduler, event_log=log)
     result = sim.run(vms, until=until)
     summary = result.summary.as_dict()
     summary.pop("scheduler_time_s")  # the one legitimately nondeterministic field
     return log.digest(), summary, result.end_time, sim
 
 
-def run_both(spec, scheduler, vms, engine="flat", until=None):
-    return {
-        mode: run_mode(spec, scheduler, vms, mode, engine, until) for mode in MODES
-    }
+def run_both(spec, scheduler, vms, until=None):
+    return {mode: run_mode(spec, scheduler, vms, mode, until) for mode in MODES}
 
 
 def assert_equivalent(out):
@@ -60,13 +58,6 @@ class TestRandomTraceEquivalence:
         """All four paper schedulers, seeds 0-9: backend-invariant digests."""
         vms = generate_synthetic(SyntheticWorkloadParams(count=90), seed=seed)
         assert_equivalent(run_both(paper_default(), scheduler, vms))
-
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
-    def test_generator_engine_bit_identical(self, scheduler, seed):
-        """The reference generator engine agrees across backends too."""
-        vms = generate_synthetic(SyntheticWorkloadParams(count=60), seed=seed)
-        assert_equivalent(run_both(paper_default(), scheduler, vms, engine="generator"))
 
 
 class TestOversubscriptionEquivalence:
@@ -131,7 +122,7 @@ class TestForkRestoreEquivalence:
         restores cluster, fabric, and rack maxima exactly."""
         spec = tiny_test()
         all_vms = generate_synthetic(SyntheticWorkloadParams(count=120), seed=3)
-        sim = DDCSimulator(spec, "risa", engine="flat")
+        sim = DDCSimulator(spec, "risa")
         sim.run(all_vms[:40], until=all_vms[39].arrival + 1.0)
         cp = sim.checkpoint()
         maxima_before = [

@@ -33,7 +33,7 @@ class World:
     def __init__(self, mode):
         self.mode = mode
         with state_backend(mode):
-            sim = DDCSimulator(tiny_test(), "risa", engine="flat")
+            sim = DDCSimulator(tiny_test(), "risa")
         self.cluster = sim.cluster
         self.fabric = sim.fabric
         self.allocations = []  # (box, receipt)
