@@ -231,9 +231,10 @@ class SimulationSession:
 
     ``parallel=1`` executes in-process (no pool, no pickling) — the path
     tests and small sweeps use; ``parallel=N`` spins up at most N workers,
-    each initialized once with the session's spec.  ``keep_records=False`` (the default) runs every point with per-VM record
-    retention off — sweeps only consume summary scalars, so long traces no
-    longer accumulate O(trace) ``VMRecord`` lists in the workers.
+    each initialized once with the session's spec.  ``keep_records=False``
+    (the default) runs every point with per-VM record retention off —
+    sweeps only consume summary scalars, so long traces no longer
+    accumulate O(trace) ``VMRecord`` lists in the workers.
     """
 
     def __init__(
