@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.config import PRESETS
+from repro.experiments.scenarios import PodFailure
 from repro.sim import DDCSimulator, EventLog
 from repro.state import state_backend
 from repro.workloads import SyntheticWorkloadParams, generate_synthetic
@@ -52,10 +53,15 @@ class Cell:
     count: int = TRACE_COUNT
     #: Stop the run at the median departure time instead of draining it.
     truncated: bool = False
+    #: Drain this pod at the arrival of the VM a third of the way into the
+    #: trace; its tenants keep departing onto the sticky drain.
+    pod_failure: int | None = None
 
     @property
     def key(self) -> str:
         key = f"{self.preset}/{self.scheduler}/seed{self.seed}/n{self.count}"
+        if self.pod_failure is not None:
+            key += f"/pod{self.pod_failure}-failure"
         return key + "/until-median" if self.truncated else key
 
 
@@ -71,6 +77,9 @@ def cells() -> list[Cell]:
     out += [Cell("tiny", scheduler, 1, count=200) for scheduler in SCHEDULERS]
     # A run cut mid-trace: ``until`` semantics and mid-run state.
     out.append(Cell("paper", "risa", 3, count=200, truncated=True))
+    # A pod failure while arrivals and departures interleave: runs of two
+    # or more departures release onto drained racks.
+    out.append(Cell("pod-scale", "risa", 1, count=1000, pod_failure=0))
     return out
 
 
@@ -91,6 +100,9 @@ def run_cell(cell: Cell) -> dict:
         until = sorted(vm.departure for vm in vms)[len(vms) // 2]
     log = EventLog()
     sim = DDCSimulator(PRESETS[cell.preset](), cell.scheduler, event_log=log)
+    if cell.pod_failure is not None:
+        when = sorted(vm.arrival for vm in vms)[len(vms) // 3]
+        sim.schedule_fault(when, PodFailure(cell.pod_failure))
     result = sim.run(vms, until=until)
     if until is None:
         log.audit()
