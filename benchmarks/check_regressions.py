@@ -24,8 +24,7 @@ the quick-mode results and rewrite the baseline::
     REPRO_BENCH_QUICK=1 REPRO_BENCH_RESULTS=/tmp/bench.json \\
         python -m pytest benchmarks/bench_micro.py \\
             benchmarks/bench_scaling.py benchmarks/bench_fabric.py \\
-            benchmarks/bench_checkpoint.py benchmarks/bench_array_core.py \\
-            benchmarks/bench_workload_stream.py -q
+            benchmarks/bench_checkpoint.py benchmarks/bench_workload_stream.py -q
     python benchmarks/check_regressions.py --results /tmp/bench.json --update
 
 and commit the updated ``benchmarks/baseline.json`` with a note on why the

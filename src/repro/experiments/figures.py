@@ -13,7 +13,6 @@ from contextlib import contextmanager
 from ..analysis import ComparisonResult, compare_schedulers, grouped_bars
 from ..config import paper_default
 from ..schedulers import PAPER_SCHEDULERS
-from ..state import state_backend
 from ..topology import placement_mode
 from ..workloads import azure_subset_counts, cpu_histogram, ram_histogram
 from .base import ExperimentResult
@@ -319,12 +318,9 @@ def _reference_placement():
     implemented them* — NALB is the slowest precisely because it sorts the
     candidate list per VM.  The capacity index deliberately optimizes those
     scans away, which would erase the figure's subject, so the timing
-    drivers pin ``REPRO_PLACEMENT_INDEX=naive`` for their measured runs —
-    and ``REPRO_STATE_BACKEND=objects`` alongside it, because the paper's
-    scans read plain object attributes; routing them through the array
-    backend's views would distort the same measurement the other way.
+    drivers pin ``REPRO_PLACEMENT_INDEX=naive`` for their measured runs.
     """
-    with placement_mode("naive"), state_backend("objects"):
+    with placement_mode("naive"):
         yield
 
 

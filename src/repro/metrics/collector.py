@@ -21,17 +21,17 @@ length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..config import ClusterSpec
 from ..errors import SimulationError
 from ..network import NetworkFabric
 from ..photonics import PowerReport
 from ..schedulers import Placement
-from ..state import arrays_enabled
 from ..topology import Cluster
 from ..types import RESOURCE_ORDER, ResourceType, TierId
 from ..workloads import ResolvedRequest
-from .gauges import GaugeBank, TimeWeightedGauge
+from .gauges import GaugeBank
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,13 +102,8 @@ class MetricsCollector:
     scheduler_time_s: float = 0.0
     first_arrival: float | None = None
     last_event_time: float = 0.0
-    _gauges: dict[str, TimeWeightedGauge] = field(default_factory=dict)
-    _net_gauges: tuple[tuple[TierId, TimeWeightedGauge], ...] = field(
-        init=False, default=()
-    )
-    #: Array-backed gauge store (``REPRO_STATE_BACKEND=arrays``); when set,
-    #: ``_gauges``/``_net_gauges`` stay empty and the bank is authoritative.
-    _bank: GaugeBank | None = field(init=False, default=None)
+    #: Every gauge: one per fabric tier (leaf first), then cpu, ram, storage.
+    _bank: GaugeBank = field(init=False)
     _net_tiers: tuple[TierId, ...] = field(init=False, default=())
     _values_buf: list = field(init=False, default_factory=list)
     # State-version fingerprint of the last full sample; -1 forces the next
@@ -129,21 +124,8 @@ class MetricsCollector:
         self._net_tiers = tuple(tiers)
         names = [tier_gauge_name(tier, len(tiers)) for tier in tiers]
         names += ["cpu", "ram", "storage"]
-        self._gauges = {}
-        self._net_gauges = ()
-        self._bank = None
-        if arrays_enabled():
-            self._bank = GaugeBank(names)
-            self._values_buf = [0.0] * len(names)
-        else:
-            net_pairs = []
-            for tier in tiers:
-                gauge = TimeWeightedGauge()
-                self._gauges[tier_gauge_name(tier, len(tiers))] = gauge
-                net_pairs.append((tier, gauge))
-            self._net_gauges = tuple(net_pairs)
-            for name in ("cpu", "ram", "storage"):
-                self._gauges[name] = TimeWeightedGauge()
+        self._bank = GaugeBank(names)
+        self._values_buf = [0.0] * len(names)
         self._cluster_version = -1
         self._fabric_version = -1
         self.total_requests = 0
@@ -163,72 +145,44 @@ class MetricsCollector:
         sample (their version counters match), every utilization reads the
         same value — drop-heavy runs hit this constantly: a rejected VM
         touches no state, so the tick only advances the gauges' pending
-        clock (a scalar store under the lazy bank).
+        clock (a scalar store).
 
         When the versions *did* change, the fresh utilizations are compared
         against the current gauge values and the integrals fold only when at
         least one actually differs.  The collector — not the gauges — owns
         this change gate on purpose: the fold points (which define the exact
         IEEE-754 grouping of the accumulated averages) become a pure
-        function of the sampled value series, identical across state
-        backends, fused or per-departure release, and cold vs restored
-        runs.  In
-        particular, a restored collector's forced recompute (versions reset
-        to ``-1``) lands on equal values and takes the same no-fold path the
-        uninterrupted run took.
+        function of the sampled value series, identical whether departures
+        arrive one at a time or as a batch (:meth:`record_release_batch`),
+        and across cold vs restored runs.  In particular, a restored
+        collector's forced recompute (versions reset to ``-1``) lands on
+        equal values and takes the same no-fold path the uninterrupted run
+        took.
         """
         cv = self.cluster.version
         fv = self.fabric.version
         if cv == self._cluster_version and fv == self._fabric_version:
-            if self._bank is not None:
-                self._bank.advance_all(now)
-            else:
-                for gauge in self._gauges.values():
-                    gauge.advance(now)
+            self._bank.advance_all(now)
             self.last_event_time = max(self.last_event_time, now)
             return
         self._cluster_version = cv
         self._fabric_version = fv
         fabric = self.fabric
         cluster = self.cluster
-        if self._bank is not None:
-            buf = self._values_buf
-            for i, tier in enumerate(self._net_tiers):
-                buf[i] = fabric.tier_utilization(tier)
-            k = len(self._net_tiers)
-            buf[k] = cluster.utilization(ResourceType.CPU)
-            buf[k + 1] = cluster.utilization(ResourceType.RAM)
-            buf[k + 2] = cluster.utilization(ResourceType.STORAGE)
-            # Plain-float equality is safe here: utilizations are never
-            # -0.0 (``used / cap`` and ``1.0 - avail / cap`` with
-            # non-negative operands) and NaN never enters a gauge.
-            if buf == self._bank.values_list():
-                self._bank.advance_all(now)
-            else:
-                self._bank.update_all(now, buf)
+        buf = self._values_buf
+        for i, tier in enumerate(self._net_tiers):
+            buf[i] = fabric.tier_utilization(tier)
+        k = len(self._net_tiers)
+        buf[k] = cluster.utilization(ResourceType.CPU)
+        buf[k + 1] = cluster.utilization(ResourceType.RAM)
+        buf[k + 2] = cluster.utilization(ResourceType.STORAGE)
+        # Plain-float equality is safe here: utilizations are never -0.0
+        # (``used / cap`` and ``1.0 - avail / cap`` with non-negative
+        # operands) and NaN never enters a gauge.
+        if buf == self._bank.values_list():
+            self._bank.advance_all(now)
         else:
-            pairs = [
-                (gauge, fabric.tier_utilization(tier))
-                for tier, gauge in self._net_gauges
-            ]
-            pairs.append(
-                (self._gauges["cpu"], cluster.utilization(ResourceType.CPU))
-            )
-            pairs.append(
-                (self._gauges["ram"], cluster.utilization(ResourceType.RAM))
-            )
-            pairs.append(
-                (
-                    self._gauges["storage"],
-                    cluster.utilization(ResourceType.STORAGE),
-                )
-            )
-            if all(gauge.value == value for gauge, value in pairs):
-                for gauge, _ in pairs:
-                    gauge.advance(now)
-            else:
-                for gauge, value in pairs:
-                    gauge.update(now, value)
+            self._bank.update_all(now, buf)
         self.last_event_time = max(self.last_event_time, now)
 
     def _note_arrival(self, now: float) -> None:
@@ -236,11 +190,7 @@ class MetricsCollector:
             self.first_arrival = now
             # Restart gauge windows at the first arrival so idle lead-in
             # time does not dilute the averages.
-            if self._bank is not None:
-                self._bank.restart_all(now)
-            else:
-                for gauge in self._gauges.values():
-                    gauge.restart(now)
+            self._bank.restart_all(now)
 
     def record_assignment(self, placement: Placement, now: float) -> None:
         """Record a successful placement (after the scheduler committed)."""
@@ -299,35 +249,25 @@ class MetricsCollector:
         """Record a departure (gauges drop)."""
         self._sample_gauges(now)
 
-    def record_release_batch(self, times, values) -> None:
+    def record_release_batch(
+        self, times: Sequence[float], values: Sequence[Sequence[float]]
+    ) -> None:
         """Record a run of consecutive departures in one call.
 
-        ``times`` is the non-decreasing event times and ``values`` a
-        ``(len(times), len(gauges))`` float64 matrix whose row ``i`` holds
-        every gauge's utilization *after* event ``i`` — computed by the
-        simulator's batched release path from the exact same expressions
+        ``times`` is the non-decreasing event times and ``values`` one row
+        per event holding every gauge's utilization *after* it, in
+        :meth:`gauge_names` order — computed by the cluster's and fabric's
+        batch release paths from the same expressions
         :meth:`_sample_gauges` evaluates per event.  The bank replays the
-        rows with the identical per-row change gate, so fold points (and
-        summary bits) match the scalar path; only the per-event numpy
-        dispatch cost is gone.  Requires the array gauge store.
+        rows through the identical per-row change gate, so fold points (and
+        summary bits) do not depend on how departures are grouped.
         """
-        bank = self._bank
-        if bank is None:
-            raise SimulationError(
-                "record_release_batch requires the array gauge store "
-                "(REPRO_STATE_BACKEND=arrays)"
-            )
-        bank.update_all_batch(times, values)
+        self._bank.update_all_batch(times, values)
         t = float(times[-1])
         if t > self.last_event_time:
             self.last_event_time = t
         self._cluster_version = self.cluster.version
         self._fabric_version = self.fabric.version
-
-    def has_gauge_bank(self) -> bool:
-        """True when gauges live in the array-backed bank — the precondition
-        of :meth:`record_release_batch` (simulator fast-path gating)."""
-        return self._bank is not None
 
     def add_scheduler_time(self, seconds: float) -> None:
         """Accumulate wall-clock time spent inside scheduler decisions."""
@@ -363,13 +303,7 @@ class MetricsCollector:
             inter_rack_count=self.inter_rack_count,
             latency_sum_ns=self.latency_sum_ns,
             latency_count=self.latency_count,
-            gauges=(
-                self._bank.snapshot_tuples()
-                if self._bank is not None
-                else tuple(
-                    (name, gauge.snapshot()) for name, gauge in self._gauges.items()
-                )
-            ),
+            gauges=self._bank.snapshot_tuples(),
             power=self.power.snapshot(),
         )
 
@@ -402,11 +336,7 @@ class MetricsCollector:
         self.inter_rack_count = snap.inter_rack_count
         self.latency_sum_ns = snap.latency_sum_ns
         self.latency_count = snap.latency_count
-        if self._bank is not None:
-            self._bank.restore_tuples(snap.gauges)
-        else:
-            for name, state in snap.gauges:
-                self._gauges[name].restore(state)
+        self._bank.restore_tuples(snap.gauges)
         self.power.restore(snap.power)
         # The restored world may differ arbitrarily from the live one; force
         # the next sample to recompute every utilization.
@@ -426,21 +356,15 @@ class MetricsCollector:
 
     def average_utilization(self, gauge: str) -> float:
         """Time-weighted average of one gauge over the run so far."""
-        if self._bank is not None:
-            return self._bank.average(gauge)
-        return self._gauges[gauge].average()
+        return self._bank.average(gauge)
 
     def peak_utilization(self, gauge: str) -> float:
         """Peak value of one gauge."""
-        if self._bank is not None:
-            return self._bank.peak_of(gauge)
-        return self._gauges[gauge].peak
+        return self._bank.peak_of(gauge)
 
     def gauge_names(self) -> tuple[str, ...]:
         """Names accepted by :meth:`average_utilization`."""
-        if self._bank is not None:
-            return self._bank.names
-        return tuple(self._gauges)
+        return self._bank.names
 
     def net_gauge_names(self) -> tuple[str, ...]:
         """The network gauges only, leaf tier first."""

@@ -6,13 +6,15 @@ quantity the paper plots in Figure 8 — with O(1) work per event.
 
 Two stores exist for the same accumulator semantics:
 
-* :class:`TimeWeightedGauge` — one gauge, plain python floats.  Optionally
-  records a coalesced ``(time, value)`` history (``keep_records=True`` +
+* :class:`TimeWeightedGauge` — one standalone gauge.  Optionally records a
+  coalesced ``(time, value)`` history (``keep_records=True`` +
   :meth:`~TimeWeightedGauge.sample`).
-* :class:`GaugeBank` — a struct-of-arrays bank for gauges that always tick
-  together (the metrics collector's case).  Element ``i`` performs the
-  identical IEEE-754 operation sequence as a standalone gauge, so both
-  stores produce bit-identical snapshots.
+* :class:`GaugeBank` — a bank of gauges that always tick together (the
+  metrics collector's store).  Element ``i`` performs the identical
+  IEEE-754 operation sequence as a standalone gauge, so both stores produce
+  bit-identical snapshots.
+
+Both hold plain Python floats.
 
 Lazy materialization
 --------------------
@@ -28,10 +30,9 @@ the run.
 
 Because ``v*dt1 + v*dt2 != v*(dt1+dt2)`` in IEEE-754, the fold *points* are
 what define the bit-exact semantics.  The metrics collector places them only
-where a freshly sampled value differs from the current one, identically for
-both gauge stores, both state backends, and both departure paths (fused
-batch or one release at a time) — which is what keeps run summaries
-bit-identical across them.
+where a freshly sampled value differs from the current one, whether the
+samples arrive one event at a time or as a batch of departure rows — which
+is what keeps run summaries independent of how events are grouped.
 
 Checkpoint transparency: snapshots capture the raw pending register (the
 six scalars include the pending clock) and restores write it back verbatim.
@@ -41,8 +42,6 @@ uninterrupted run does across a snapshot/restore/fork cut.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..errors import SimulationError
 
@@ -218,21 +217,20 @@ class TimeWeightedGauge:
 
 
 class GaugeBank:
-    """A set of named time-weighted gauges stored as flat arrays.
+    """A set of named time-weighted gauges stored as parallel float lists.
 
     All gauges in a bank share every clock tick (the collector samples the
     whole set on each simulation event), so the fold clock stays in
-    lockstep: one scalar ``_since`` mirrors the ``last_time`` column and one
+    lockstep: one scalar ``_since`` is every gauge's last fold time and one
     scalar ``_now`` is the shared pending clock.  An unchanged-value tick
-    (:meth:`advance_all`) is a scalar compare-and-store — no array op at
-    all — which is what makes drop-dominated runs cheap.  Snapshots
-    interchange with per-gauge :meth:`TimeWeightedGauge.snapshot` tuples
-    bit-for-bit.
+    (:meth:`advance_all`) is a scalar compare-and-store, which is what makes
+    drop-dominated runs cheap.  Snapshots interchange with per-gauge
+    :meth:`TimeWeightedGauge.snapshot` tuples bit-for-bit.
     """
 
     __slots__ = (
         "names", "_index", "_now", "_since",
-        "value", "last_time", "start_time", "integral", "peak",
+        "value", "start_time", "integral", "peak",
     )
 
     def __init__(self, names: tuple[str, ...] | list[str]) -> None:
@@ -241,17 +239,16 @@ class GaugeBank:
         self.names = tuple(names)
         self._index = {name: i for i, name in enumerate(self.names)}
         self._now = 0.0  # shared pending clock
-        self._since = 0.0  # scalar mirror of the (lockstep) last_time column
+        self._since = 0.0  # shared last fold time
         n = len(self.names)
-        self.value = np.zeros(n, dtype=np.float64)
-        self.last_time = np.zeros(n, dtype=np.float64)
-        self.start_time = np.zeros(n, dtype=np.float64)
-        self.integral = np.zeros(n, dtype=np.float64)
-        self.peak = np.zeros(n, dtype=np.float64)
+        self.value = [0.0] * n
+        self.start_time = [0.0] * n
+        self.integral = [0.0] * n
+        self.peak = [0.0] * n
 
     def advance_all(self, now: float) -> None:
         """Advance every gauge's pending clock without folding (two scalar
-        ops, no array work)."""
+        ops, no per-gauge work)."""
         if now < self._now:
             raise SimulationError(
                 f"gauge clock moved backwards: {now} < {self._now}"
@@ -262,7 +259,7 @@ class GaugeBank:
         """Fold the pending interval into every integral (explicit barrier).
 
         With ``now`` given the pending clock advances there first.  The
-        zero-dt case (several events at one timestamp) skips the array work
+        zero-dt case (several events at one timestamp) skips the work
         outright; skipping is bit-exact: values and dt are non-negative, so
         every integral stays ``+0.0``-signed and adding ``value * 0.0``
         would change no bits.
@@ -271,12 +268,13 @@ class GaugeBank:
             self.advance_all(now)
         dt = self._now - self._since
         if dt > 0.0:
-            self.integral += self.value * dt
-            self.last_time[:] = self._now
+            self.integral = [
+                acc + v * dt for acc, v in zip(self.integral, self.value)
+            ]
             self._since = self._now
 
     def update_all(self, now: float, values) -> None:
-        """Fold the pending interval, then set every gauge's value (fused).
+        """Fold the pending interval, then set every gauge's value.
 
         ``values`` is any sequence of ``len(names)`` floats, in name order.
         This is the fold barrier; the collector only routes a sample here
@@ -285,32 +283,28 @@ class GaugeBank:
         the summary bits — independently of how departures are batched.
         """
         self.flush(now)
-        v = self.value
-        v[:] = values
-        np.maximum(self.peak, v, out=self.peak)
+        self.value = [float(v) for v in values]
+        self.peak = [max(p, v) for p, v in zip(self.peak, self.value)]
 
     def update_all_batch(self, times, values) -> None:
         """Apply a run of consecutive samples in one call.
 
-        ``times`` is a non-decreasing sequence and ``values`` a
-        ``(len(times), len(names))`` float array: row ``i`` holds every
-        gauge's value after event ``i``.  Semantically identical — IEEE-754
-        op for op — to the per-event loop::
+        ``times`` is a non-decreasing sequence and ``values`` a sequence of
+        ``len(times)`` rows: row ``i`` holds every gauge's value after event
+        ``i``.  Semantically identical — IEEE-754 op for op — to the
+        per-event loop::
 
             for t, row in zip(times, values):
                 advance_all(t) / update_all(t, row)   # by row != current
 
-        but runs as per-gauge python-scalar chains instead of one numpy
-        dispatch per event, which is ~3x cheaper for the collector's ~7
-        gauges.  The change gate is applied per row, exactly as the
-        collector would: an unchanged row only moves the pending clock.
+        The change gate is applied per row, exactly as the collector would:
+        an unchanged row only moves the pending clock.  Array inputs are
+        converted to Python floats first.
         """
-        n = len(times)
+        ts = times.tolist() if hasattr(times, "tolist") else [float(t) for t in times]
+        n = len(ts)
         if n == 0:
             return
-        ts = times.tolist() if isinstance(times, np.ndarray) else [
-            float(t) for t in times
-        ]
         if ts[0] < self._now:
             raise SimulationError(
                 f"gauge clock moved backwards: {ts[0]} < {self._now}"
@@ -320,12 +314,12 @@ class GaugeBank:
                 raise SimulationError(
                     f"gauge batch times not sorted: {ts[i + 1]} < {ts[i]}"
                 )
+        rows = values.tolist() if hasattr(values, "tolist") else values
         g = len(self.names)
-        cur = self.value.tolist()
-        acc = self.integral.tolist()
-        pk = self.peak.tolist()
+        cur = self.value
+        acc = self.integral
+        pk = self.peak
         since = self._since
-        rows = values.tolist() if isinstance(values, np.ndarray) else list(values)
         for i in range(n):
             row = rows[i]
             if row == cur:
@@ -341,20 +335,17 @@ class GaugeBank:
                 if x > pk[j]:
                     pk[j] = x
             cur = row
-        self.value[:] = cur
-        self.integral[:] = acc
-        self.peak[:] = pk
-        self.last_time[:] = since
+        self.value = list(cur)
         self._since = since
         self._now = ts[-1]
 
     def restart_all(self, now: float) -> None:
         """Reset every gauge to a zero signal opening at ``now``."""
-        self.value[:] = 0.0
-        self.last_time[:] = now
-        self.start_time[:] = now
-        self.integral[:] = 0.0
-        self.peak[:] = 0.0
+        n = len(self.names)
+        self.value = [0.0] * n
+        self.start_time = [now] * n
+        self.integral = [0.0] * n
+        self.peak = [0.0] * n
         self._now = now
         self._since = now
 
@@ -364,23 +355,24 @@ class GaugeBank:
         Non-committing: composes the folded base with the pending term on
         read (same expression as :meth:`TimeWeightedGauge.average`)."""
         i = self._index[name]
-        duration = self._now - float(self.start_time[i])
+        duration = self._now - self.start_time[i]
         if duration <= 0:
-            return float(self.value[i])
-        pending = float(self.value[i]) * (self._now - float(self.last_time[i]))
-        return (float(self.integral[i]) + pending) / duration
+            return self.value[i]
+        pending = self.value[i] * (self._now - self._since)
+        return (self.integral[i] + pending) / duration
 
     def peak_of(self, name: str) -> float:
         """Peak value of one gauge."""
-        return float(self.peak[self._index[name]])
+        return self.peak[self._index[name]]
 
     def value_of(self, name: str) -> float:
         """Current value of one gauge."""
-        return float(self.value[self._index[name]])
+        return self.value[self._index[name]]
 
     def values_list(self) -> list[float]:
-        """Every gauge's current value, in name order (plain floats)."""
-        return self.value.tolist()
+        """Every gauge's current value, in name order (plain floats; the
+        live list, so callers must not mutate it)."""
+        return self.value
 
     # ------------------------------------------------------------------ #
     # Fork support
@@ -396,11 +388,11 @@ class GaugeBank:
             (
                 name,
                 (
-                    float(self.value[i]),
-                    float(self.last_time[i]),
-                    float(self.start_time[i]),
-                    float(self.integral[i]),
-                    float(self.peak[i]),
+                    self.value[i],
+                    self._since,
+                    self.start_time[i],
+                    self.integral[i],
+                    self.peak[i],
                     self._now,
                 ),
             )
@@ -417,26 +409,24 @@ class GaugeBank:
         Rebuilds the pending register exactly: the fold clock comes back
         from the ``last_time`` scalars and the pending clock from the sixth
         scalar, so a checkpoint taken mid-defer resumes without re-folding
-        or dropping the deferred interval.
+        or dropping the deferred interval.  Every gauge must carry the same
+        two clocks, and the pending clock may not precede the fold time.
         """
-        for i, (_, state) in enumerate(gauges):
-            (
-                self.value[i],
-                self.last_time[i],
-                self.start_time[i],
-                self.integral[i],
-                self.peak[i],
-            ) = state[:5]
-        lt = self.last_time
-        if lt.size and not np.all(lt == lt[0]):
+        states = [state for _, state in gauges]
+        sinces = {float(state[1]) for state in states}
+        nows = {float(state[5]) for state in states}
+        if len(sinces) > 1 or len(nows) > 1:
             raise SimulationError("gauge bank clocks must move in lockstep")
-        self._since = float(lt[0]) if lt.size else 0.0
-        nows = {float(state[5]) for _, state in gauges}
-        if len(nows) > 1:
-            raise SimulationError("gauge bank clocks must move in lockstep")
-        self._now = nows.pop() if nows else 0.0
-        if self._now < self._since:
+        since = sinces.pop() if sinces else 0.0
+        now = nows.pop() if nows else 0.0
+        if now < since:
             raise SimulationError(
-                f"gauge snapshot pending clock {self._now} precedes its "
-                f"fold time {self._since}"
+                f"gauge snapshot pending clock {now} precedes its "
+                f"fold time {since}"
             )
+        self.value = [float(state[0]) for state in states]
+        self.start_time = [float(state[2]) for state in states]
+        self.integral = [float(state[3]) for state in states]
+        self.peak = [float(state[4]) for state in states]
+        self._since = since
+        self._now = now

@@ -12,11 +12,6 @@ pruned fold that reproduces the naive scan's epsilon tie-breaking exactly.
 Aggregate used/available bandwidth is maintained incrementally, making
 NALB's bandwidth sort keys O(1) reads.  ``REPRO_PLACEMENT_INDEX=naive``
 falls back to the original linear scans.
-
-Under the array state backend (:mod:`repro.state`) the used aggregate lives
-in the fabric's ``bundle_used`` array; binding swaps the instance's class to
-:class:`_ArrayBundle` (no new slots), so unbound bundles keep the plain
-attribute with zero overhead.
 """
 
 from __future__ import annotations
@@ -45,8 +40,6 @@ class LinkBundle:
         "_used_gbps",
         "_pos",
         "_tree",
-        "_state",
-        "_bidx",
     )
 
     def __init__(self, name: str, links: list[Link]) -> None:
@@ -60,20 +53,7 @@ class LinkBundle:
         self._tree = (
             MaxSegmentTree([l.avail_gbps for l in links]) if index_enabled() else None
         )
-        self._state = None
-        self._bidx = 0
         for link in links:
-            link.bind_listener(self._on_link_change)
-
-    def _bind_state(self, state, bidx: int) -> None:
-        """Re-home the used aggregate into the fabric's state arrays."""
-        state.bundle_used[bidx] = self._used_gbps
-        self._state = state
-        self._bidx = bidx
-        self.__class__ = _ArrayBundle
-        for link in self.links:
-            # The construction-time listener is a bound method of the *base*
-            # class; re-bind so it resolves to the array-backed override.
             link.bind_listener(self._on_link_change)
 
     def _on_link_change(self, link: Link, delta_used: float) -> None:
@@ -162,25 +142,3 @@ class LinkBundle:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LinkBundle({self.name}, {len(self.links)} links)"
 
-
-class _ArrayBundle(LinkBundle):
-    """Array-bound view: the used aggregate lives in the fabric's
-    ``bundle_used`` array.  Vectorized path application
-    (:class:`repro.state.FabricStateArrays`) bypasses the link listeners and
-    updates the aggregates and trees itself; the listener here covers direct
-    per-link mutations (rollback paths, tests)."""
-
-    __slots__ = ()
-
-    def _on_link_change(self, link: Link, delta_used: float) -> None:
-        self._state.bundle_used[self._bidx] += delta_used
-        if self._tree is not None:
-            self._tree.update(self._pos[id(link)], link.avail_gbps)
-
-    @property
-    def used_gbps(self) -> float:
-        return float(self._state.bundle_used[self._bidx])
-
-    @property
-    def avail_gbps(self) -> float:
-        return self._capacity_gbps - float(self._state.bundle_used[self._bidx])

@@ -26,20 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from ..config import ClusterSpec, FabricTopology
 from ..errors import NetworkAllocationError, TopologyError
-from ..state import FabricStateArrays, arrays_enabled
 from ..topology import Cluster
 from ..types import TierId
 from .bundle import LinkBundle, LinkSelectionPolicy
 from .circuit import Circuit
 from .link import BANDWIDTH_EPS, Link
 
-#: Resolved paths depend only on the immutable topology, so the array
-#: backend memoizes them per (box_a, box_b); the cap bounds memory on
-#: adversarial access patterns (cleared wholesale when hit).
+#: Resolved paths depend only on the immutable topology, so the fabric
+#: memoizes them per (box_a, box_b); the cap bounds memory on adversarial
+#: access patterns (cleared wholesale when hit).
 _PATH_CACHE_MAX = 65536
 
 #: Residual capacity of a failed link.  Down links keep their identity (ids,
@@ -85,7 +82,6 @@ class NetworkFabric:
         "_num_racks",
         "_node_counts",
         "_rings_cache",
-        "_state_arrays",
         "_version",
         "_path_cache",
         "_down_capacity",
@@ -164,22 +160,11 @@ class NetworkFabric:
                 self._tier_capacity[tier] += bundle.capacity_gbps
         self._version = 0
         self._down_capacity: dict[int, float] = {}
-        self._state_arrays = None  # accessors fall back to dicts during bind
-        if arrays_enabled():
-            self._state_arrays = FabricStateArrays(self)
-        self._path_cache: dict[tuple[int, int], FabricPath] | None = (
-            {} if self._state_arrays is not None else None
-        )
+        self._path_cache: dict[tuple[int, int], FabricPath] = {}
 
     # ------------------------------------------------------------------ #
     # Hierarchy queries
     # ------------------------------------------------------------------ #
-
-    @property
-    def state_arrays(self) -> FabricStateArrays | None:
-        """The struct-of-arrays bandwidth state, or None in object mode
-        (``REPRO_STATE_BACKEND=objects``)."""
-        return self._state_arrays
 
     @property
     def version(self) -> int:
@@ -306,10 +291,9 @@ class NetworkFabric:
         model.  Works identically for 2 tiers and N tiers.
         """
         cache = self._path_cache
-        if cache is not None:
-            cached = cache.get((box_a, box_b))
-            if cached is not None:
-                return cached
+        cached = cache.get((box_a, box_b))
+        if cached is not None:
+            return cached
         if box_a == box_b:
             raise NetworkAllocationError(
                 f"flow endpoints must differ (both box {box_a}); boxes hold a "
@@ -332,10 +316,9 @@ class NetworkFabric:
         path = FabricPath(
             bundles=tuple(bundles), switch_ports=tuple(ports), lca_level=lca
         )
-        if cache is not None:
-            if len(cache) >= _PATH_CACHE_MAX:
-                cache.clear()
-            cache[(box_a, box_b)] = path
+        if len(cache) >= _PATH_CACHE_MAX:
+            cache.clear()
+        cache[(box_a, box_b)] = path
         return path
 
     def path_bundles(self, box_a: int, box_b: int) -> tuple[list[LinkBundle], tuple[int, ...], bool]:
@@ -388,14 +371,10 @@ class NetworkFabric:
                 return None
             chosen.append(link)
         self._version += 1
-        fa = self._state_arrays
-        if fa is not None:
-            # One gathered clamp + scatter-add applies the whole path.
-            fa.reserve_path(chosen, demand_gbps, path.lca_level)
-        else:
-            for link in chosen:
-                link.reserve(demand_gbps)
-                self._tier_used[link.tier] += demand_gbps
+        tier_used = self._tier_used
+        for link in chosen:
+            link.reserve(demand_gbps)
+            tier_used[link.tier] += demand_gbps
         return Circuit(
             links=tuple(chosen),
             demand_gbps=demand_gbps,
@@ -437,10 +416,6 @@ class NetworkFabric:
         release leaves links and tier counters untouched and consistent.
         """
         self._version += 1
-        fa = self._state_arrays
-        if fa is not None:
-            fa.release_path(circuit)
-            return
         demand = circuit.demand_gbps
         pending = dict(self._tier_used)
         for link in circuit.links:
@@ -461,29 +436,28 @@ class NetworkFabric:
             link.free(demand)
         self._tier_used = pending
 
-    def release_batch(self, groups: Sequence[Sequence[Circuit]]):
-        """Release a run of departures' circuits with deferred tree upkeep.
+    def release_batch(
+        self, groups: Sequence[Sequence[Circuit]]
+    ) -> list[list[float]]:
+        """Release a run of departures' circuits, in event order.
 
-        ``groups`` holds one circuit sequence per departing VM, in event
-        order.  Every circuit releases through the exact per-event scalar
-        operation chain (:meth:`FabricStateArrays.release_groups_deferred`),
-        so link, bundle, and tier floats land bit-identically to sequential
-        :meth:`release` calls; only the bundles' free-link segment trees —
-        consulted exclusively during scheduling, which cannot interleave
-        with a departure batch — are settled once at the end.
-
-        Returns a ``(len(groups), num_tiers)`` float64 matrix whose row
-        ``i`` is the per-tier reserved bandwidth *after* departure ``i`` —
-        the utilization numerators the metrics batch needs.  Requires the
-        array backend.
+        ``groups`` holds one circuit sequence per departing VM; every
+        circuit goes through :meth:`release`.  Returns one row per
+        departure: the utilization of every tier (leaf first) right after
+        it, computed with the same expression as :meth:`tier_utilization`.
         """
-        fa = self._state_arrays
-        if fa is None:
-            raise NetworkAllocationError(
-                "release_batch requires the array state backend"
-            )
-        self._version += sum(len(circuits) for circuits in groups)
-        return fa.release_groups_deferred(groups)
+        release = self.release
+        tiers = self._tiers
+        caps = [self._tier_capacity[tier] for tier in tiers]
+        rows: list[list[float]] = []
+        for circuits in groups:
+            for circuit in circuits:
+                release(circuit)
+            used = self._tier_used
+            rows.append([
+                used[tier] / cap if cap else 0.0 for tier, cap in zip(tiers, caps)
+            ])
+        return rows
 
     # ------------------------------------------------------------------ #
     # Snapshots (what-if analysis and oversubscription rollback)
@@ -501,29 +475,27 @@ class NetworkFabric:
 
     def snapshot(self) -> tuple[float, ...]:
         """Capture per-link reserved bandwidth; restorable and comparable."""
-        fa = self._state_arrays
-        if fa is not None:
-            return fa.used_tuple()
         return tuple(link.used_gbps for link in self._iter_links())
 
     def restore(self, snap: tuple[float, ...]) -> None:
         """Restore reserved bandwidth captured by :meth:`snapshot`.
 
-        Each link is rewritten through its public occupancy API, so bundle
-        aggregates and free-link indexes rebuild as a side effect; the
-        per-tier totals are then recomputed from the restored links.  The
-        array backend does the same with whole-array writes.
+        The whole snapshot is validated before anything is written: a
+        negative entry raises :class:`NetworkAllocationError` and leaves
+        every link and counter as it was.  Each link is then rewritten
+        through its public occupancy API, so bundle aggregates and free-link
+        indexes rebuild as a side effect; the per-tier totals are recomputed
+        from the restored links.
         """
-        self._version += 1
-        fa = self._state_arrays
-        if fa is not None:
-            if len(snap) != fa.link_used.shape[0]:
-                raise TopologyError("snapshot shape does not match fabric")
-            fa.bulk_restore_used(snap)
-            return
         links = list(self._iter_links())
         if len(snap) != len(links):
             raise TopologyError("snapshot shape does not match fabric")
+        for link, used in zip(links, snap):
+            if used < 0:
+                raise NetworkAllocationError(
+                    f"link {link.link_id}: negative occupancy {used} Gb/s"
+                )
+        self._version += 1
         for link, used in zip(links, snap):
             link.set_used(used)
         self._tier_used = {tier: 0.0 for tier in self._tiers}
@@ -580,10 +552,6 @@ class NetworkFabric:
                     # a later restore_links lands on the scaled value.
                     self._down_capacity[link.link_id] = stashed * factor
         self._tier_capacity[tier] = sum(b.capacity_gbps for b in bundles)
-        if self._state_arrays is not None:
-            self._state_arrays.refresh_tier_capacities(
-                [self._tier_capacity[t] for t in self._tiers]
-            )
 
     def capacity_snapshot(self) -> tuple[float, ...]:
         """Capture per-link capacity (the perturbable quantity), in the same
@@ -616,10 +584,6 @@ class NetworkFabric:
                 bundle.set_link_capacities(snap[pos : pos + n])
                 pos += n
                 self._tier_capacity[tier] += bundle.capacity_gbps
-        if self._state_arrays is not None:
-            self._state_arrays.refresh_tier_capacities(
-                [self._tier_capacity[t] for t in self._tiers]
-            )
 
     # ------------------------------------------------------------------ #
     # Link-level fault injection (failure-diversity scenarios)
@@ -637,16 +601,12 @@ class NetworkFabric:
         self, tier: TierId, bundle: LinkBundle, capacities: list[float]
     ) -> None:
         """Rewrite one bundle's link capacities and re-derive every
-        aggregate that depends on them (tier totals, array mirrors)."""
+        aggregate that depends on them (bundle aggregates, tier totals)."""
         self._version += 1
         bundle.set_link_capacities(capacities)
         self._tier_capacity[tier] = sum(
             b.capacity_gbps for b in self._bundles[tier.level].values()
         )
-        if self._state_arrays is not None:
-            self._state_arrays.refresh_tier_capacities(
-                [self._tier_capacity[t] for t in self._tiers]
-            )
 
     def fail_links(self, tier: TierId | int | str, node: int, count: int | None = None) -> int:
         """Take links of one bundle down (the first ``count``, or all).
@@ -754,11 +714,7 @@ class NetworkFabric:
 
     def tier_used_gbps(self, tier: TierId) -> float:
         """Aggregate reserved bandwidth of one link tier (O(1))."""
-        tier = self._tier_key(tier)
-        fa = self._state_arrays
-        if fa is not None:
-            return float(fa.tier_used[tier.level])
-        return self._tier_used[tier]
+        return self._tier_used[self._tier_key(tier)]
 
     def tier_utilization(self, tier: TierId) -> float:
         """Fraction of one tier's capacity currently reserved."""
@@ -766,9 +722,7 @@ class NetworkFabric:
         cap = self._tier_capacity[tier]
         if cap == 0:
             return 0.0
-        fa = self._state_arrays
-        used = float(fa.tier_used[tier.level]) if fa is not None else self._tier_used[tier]
-        return used / cap
+        return self._tier_used[tier] / cap
 
     def tier_utilizations(self) -> dict[TierId, float]:
         """Utilization of every tier, leaf tier first."""

@@ -6,12 +6,6 @@ a small epsilon absorbs float rounding in repeated reserve/release cycles.
 Every used-bandwidth mutation reports its delta to an optional listener —
 the hook :class:`~repro.network.bundle.LinkBundle` uses to keep its
 aggregates and free-link index incremental.
-
-Under the array state backend (:mod:`repro.state`) a link is a thin view:
-its used/capacity floats live in the fabric's flat per-link arrays (indexed
-by ``link_id``).  Binding swaps the instance's class to :class:`_ArrayLink`
-(no new slots, only overrides), so unbound links keep plain attributes with
-zero overhead.
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ class Link:
         "a",
         "b",
         "_on_change",
-        "_state",
     )
 
     def __init__(
@@ -53,14 +46,6 @@ class Link:
         self.a = a
         self.b = b
         self._on_change: Callable[["Link", float], None] | None = None
-        self._state = None
-
-    def _bind_state(self, state) -> None:
-        """Re-home used/capacity into the fabric's state arrays."""
-        state.link_used[self.link_id] = self.used_gbps
-        state.link_capacity[self.link_id] = self.capacity_gbps
-        self._state = state
-        self.__class__ = _ArrayLink
 
     def bind_listener(self, on_change: Callable[["Link", float], None] | None) -> None:
         """Attach the used-bandwidth listener (bundle wiring).
@@ -132,63 +117,3 @@ class Link:
             f"{self.used_gbps:.1f}/{self.capacity_gbps:.0f} Gb/s)"
         )
 
-
-class _ArrayLink(Link):
-    """Array-bound view: used/capacity reads and writes go to the fabric's
-    per-link arrays.  The scalar mutators perform the identical IEEE-754
-    operation sequence as the plain-attribute originals, so both backends
-    produce bit-identical bandwidth trajectories."""
-
-    __slots__ = ()
-
-    @property
-    def capacity_gbps(self) -> float:
-        """This link's capacity (resizable via what-if perturbations)."""
-        return float(self._state.link_capacity[self.link_id])
-
-    @capacity_gbps.setter
-    def capacity_gbps(self, value: float) -> None:
-        self._state.link_capacity[self.link_id] = value
-
-    @property
-    def used_gbps(self) -> float:
-        """Bandwidth currently reserved on this link."""
-        return float(self._state.link_used[self.link_id])
-
-    def reserve(self, demand_gbps: float) -> None:
-        if demand_gbps < 0:
-            raise NetworkAllocationError(f"negative demand: {demand_gbps}")
-        if not self.can_fit(demand_gbps):
-            raise NetworkAllocationError(
-                f"link {self.link_id}: demand {demand_gbps} Gb/s exceeds "
-                f"available {self.avail_gbps} Gb/s"
-            )
-        old = self.used_gbps
-        new = min(self.capacity_gbps, old + demand_gbps)
-        self._state.link_used[self.link_id] = new
-        if self._on_change is not None:
-            self._on_change(self, new - old)
-
-    def free(self, demand_gbps: float) -> None:
-        if demand_gbps < 0:
-            raise NetworkAllocationError(f"negative demand: {demand_gbps}")
-        old = self.used_gbps
-        if demand_gbps > old + BANDWIDTH_EPS:
-            raise NetworkAllocationError(
-                f"link {self.link_id}: freeing {demand_gbps} Gb/s but only "
-                f"{old} Gb/s reserved"
-            )
-        new = max(0.0, old - demand_gbps)
-        self._state.link_used[self.link_id] = new
-        if self._on_change is not None:
-            self._on_change(self, new - old)
-
-    def set_used(self, used_gbps: float) -> None:
-        if used_gbps < 0:
-            raise NetworkAllocationError(
-                f"link {self.link_id}: negative occupancy {used_gbps} Gb/s"
-            )
-        old = self.used_gbps
-        self._state.link_used[self.link_id] = used_gbps
-        if self._on_change is not None and used_gbps != old:
-            self._on_change(self, used_gbps - old)

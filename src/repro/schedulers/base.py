@@ -108,7 +108,14 @@ class Scheduler(abc.ABC):
             )
 
     def release(self, placement: Placement) -> None:
-        """Return a placement's compute units and network bandwidth."""
+        """Return a placement's compute units and network bandwidth.
+
+        The simulator releases departures through the cluster's and
+        fabric's batch entry points (``Cluster.apply_release_batch`` /
+        ``NetworkFabric.release_batch``), which do the same per-receipt and
+        per-circuit releases; it calls this method only when a subclass
+        overrides it.
+        """
         self.cluster.box(placement.cpu.box_id).release(placement.cpu)
         self.cluster.box(placement.ram.box_id).release(placement.ram)
         if placement.storage is not None:

@@ -1,7 +1,8 @@
 """RISA — Round-robin Intra-rack friendly Scheduling Algorithm (Algorithm 1).
 
 RISA keeps, per rack, the box with the maximum availability of each resource
-(maintained incrementally by :class:`~repro.topology.rack.Rack`).  For each
+(maintained incrementally in the cluster's rack maxima table, see
+:meth:`~repro.topology.cluster.Cluster.rack_maxima`).  For each
 VM it builds INTRA_RACK_POOL — the racks whose max-boxes can hold the entire
 VM — and walks it round-robin from a persistent cursor, committing the first
 rack where both the compute slices and the intra-rack network fit.  When the
@@ -15,6 +16,10 @@ resource stranding.
 """
 
 from __future__ import annotations
+
+from itertools import chain, compress, repeat
+from operator import ge
+from typing import Iterator
 
 from ..config import ClusterSpec
 from ..errors import SchedulerError
@@ -38,6 +43,7 @@ class RISAScheduler(Scheduler):
         super().__init__(spec, cluster, fabric)
         self._cursor = 0
         self._fallback = NULBScheduler(spec, cluster, fabric)
+        self._all_racks = frozenset(range(cluster.num_racks))
 
     def snapshot_state(self) -> object | None:
         """The round-robin cursor (NULB fallback is stateless)."""
@@ -107,33 +113,17 @@ class RISAScheduler(Scheduler):
         units = request.units
         cluster = self.cluster
         num_racks = cluster.num_racks
-        state = cluster.state_arrays
-        if state is not None and num_racks:
-            # One fused mask over the per-rack maxima replaces the per-rack
-            # can_host walk; the pool arrives already rotated to the cursor.
-            pool = state.pool_racks_from(
-                units.cpu, units.ram, units.storage, self._cursor % num_racks
-            )
-            for rack_index in pool:
+        if num_racks:
+            for rack_index in self._pool(units.cpu, units.ram, units.storage):
                 placement = self._try_rack(cluster.rack(rack_index), request)
                 if placement is not None:
                     self._cursor = (rack_index + 1) % num_racks
                     return placement
-        else:
-            for offset in range(num_racks):
-                rack = cluster.rack((self._cursor + offset) % num_racks)
-                if not rack.can_host(units):
-                    continue
-                placement = self._try_rack(rack, request)
-                if placement is not None:
-                    self._cursor = (rack.index + 1) % num_racks
-                    return placement
         # Pool empty, or every pool rack failed on network capacity: build
         # SUPER_RACK and fall back to the inter-rack path (Algorithm 1).
         super_rack = self._super_rack(request)
-        for rtype in RESOURCE_ORDER:
-            if units.get(rtype) > 0 and not super_rack[rtype]:
-                return None
+        if super_rack is None:
+            return None
         return self._fallback_allocate(request, super_rack)
 
     def _fallback_allocate(
@@ -148,31 +138,39 @@ class RISAScheduler(Scheduler):
         """
         return self._fallback.allocate(request, rack_filter=super_rack)
 
+    def _pool(self, cpu: int, ram: int, storage: int) -> Iterator[int]:
+        """INTRA_RACK_POOL: racks whose max-boxes hold the whole VM, in
+        round-robin order from the cursor.
+
+        Lazy, so the common case — the cursor rack hosts the VM — reads one
+        rack's maxima; a failed try rolls its compute back, so later racks
+        see the same maxima they would have seen up front.
+        """
+        cpu_max, ram_max, storage_max = self.cluster.rack_maxima()
+        if max(cpu_max) < cpu:
+            return  # no rack can hold the CPU slice: skip the walk
+        start = self._cursor % len(cpu_max)
+        for i in chain(range(start, len(cpu_max)), range(start)):
+            if cpu_max[i] >= cpu and ram_max[i] >= ram and storage_max[i] >= storage:
+                yield i
+
     def _super_rack(
         self, request: ResolvedRequest
-    ) -> dict[ResourceType, frozenset[int]]:
-        """Per-resource lists of racks with a box that fits that slice."""
+    ) -> dict[ResourceType, frozenset[int]] | None:
+        """Per-resource sets of racks with a box that fits that slice, or
+        None when some needed resource fits in no rack (the VM drops)."""
         units = request.units
+        all_racks = self._all_racks
         out: dict[ResourceType, frozenset[int]] = {}
-        state = self.cluster.state_arrays
-        if state is not None:
-            all_racks: frozenset[int] | None = None
-            for tpos, rtype in enumerate(RESOURCE_ORDER):
-                needed = units.get(rtype)
-                if needed == 0:
-                    if all_racks is None:
-                        all_racks = frozenset(range(self.cluster.num_racks))
-                    out[rtype] = all_racks
-                else:
-                    out[rtype] = frozenset(state.racks_with_box(tpos, needed))
-            return out
-        for rtype in RESOURCE_ORDER:
+        for rtype, maxima in zip(RESOURCE_ORDER, self.cluster.rack_maxima()):
             needed = units.get(rtype)
-            out[rtype] = frozenset(
-                rack.index
-                for rack in self.cluster.racks
-                if needed == 0 or rack.has_box_for(rtype, needed)
-            )
+            if min(maxima, default=0) >= needed:
+                out[rtype] = all_racks
+                continue
+            racks = frozenset(compress(range(len(maxima)), map(ge, maxima, repeat(needed))))
+            if not racks:
+                return None
+            out[rtype] = racks
         return out
 
 

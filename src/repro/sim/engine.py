@@ -167,7 +167,7 @@ class FlatEngine:
         the next pending arrival and within ``until`` pops in exact heap
         order into one list, the clock jumps to the last entry, and the
         whole run is handed to ``on_departures`` at once so the caller can
-        apply it with fused array operations.  Between two scheduler
+        release it through its batch entry points.  Between two scheduler
         decision points (arrivals) nothing observes intermediate clocks, so
         batching is invisible to event ordering; a batch never crosses
         ``until``, so checkpoints cannot land inside one.

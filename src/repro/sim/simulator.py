@@ -13,8 +13,8 @@ sit on a heap, and schedule/drop/release run as direct calls, with O(active
 VMs) engine state.  At equal times arrivals fire before departures, and
 equal-time departures fire in placement-commit order.  Each run of
 consecutive departures reaches :meth:`DDCSimulator._handle_departure_batch`
-as one batch, which applies it with fused array operations when the state
-allows and per departure otherwise; both give the same bits.
+as one batch, released in event order through the cluster's, fabric's and
+collector's batch entry points.
 
 Forkable runs
 -------------
@@ -38,8 +38,6 @@ import time as _time
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from ..config import ClusterSpec
 from ..errors import SimulationError
 from ..metrics import MetricsCollector, MetricsSnapshot, summarize
@@ -58,11 +56,6 @@ from ..workloads import (
 from .engine import EngineSnapshot, FlatEngine
 from .event_log import EventLog
 from .results import SimulationResult
-
-#: Below this many departures a batch is applied through the scalar path:
-#: the numpy setup costs more than it saves on tiny runs.
-_MIN_FAST_BATCH = 4
-
 
 @dataclass(frozen=True, slots=True)
 class SimCheckpoint:
@@ -152,16 +145,9 @@ class DDCSimulator:
         #: Arrival-resolution batch size for columnar traces (how many VMs
         #: are resolved into request objects at a time).
         self.chunk_size = DEFAULT_CHUNK_SIZE if chunk_size is None else int(chunk_size)
-        # The fused departure path requires the array state backend on both
-        # cluster and fabric, the array gauge bank, and the stock release
-        # path — a scheduler that overrides release() gets the scalar loop,
-        # always.
-        self._batch_fast = (
-            self.cluster.state_arrays is not None
-            and self.fabric.state_arrays is not None
-            and self.collector.has_gauge_bank()
-            and type(self.scheduler).release is Scheduler.release
-        )
+        # A scheduler that overrides release() keeps it: its departures are
+        # released (and sampled) one at a time instead of as a batch.
+        self._own_release = type(self.scheduler).release is not Scheduler.release
         # Stateful (forkable) run machinery; populated by start_run().
         # Exactly one of _trace (object traces) / _source (columnar traces)
         # is set during a stateful run.
@@ -234,89 +220,39 @@ class DDCSimulator:
             )
         return placement
 
-    def _handle_departure(self, placement: Placement, now: float) -> None:
-        """Release one placed VM's compute and network resources."""
-        self.scheduler.release(placement)
-        self.collector.record_release(now)
-        if self.event_log is not None:
-            self.event_log.record(now, "departure", placement.vm_id)
-
     def _handle_departure_batch(
         self, batch: list[tuple[float, Placement]]
     ) -> None:
-        """Apply a run of consecutive departures from the engine.
+        """Release a run of consecutive departures from the engine.
 
-        Tiny batches, non-array configurations, overridden scheduler
-        release paths, and drained-rack states (whose sticky re-occupation
-        is inherently per-box) fall back to the per-event handler —
-        bit-identical by construction, just without the fused arithmetic.
+        The cluster releases every compute receipt and the fabric every
+        circuit, each returning its utilizations after each departure; the
+        collector replays those rows through its per-event change gate.
+        Compute and network state are independent, so releasing all of one
+        before the other reaches the same state as one departure at a time.
         """
-        if (
-            self._batch_fast
-            and len(batch) >= _MIN_FAST_BATCH
-            and not self.cluster.drained_racks
-        ):
-            self._apply_departure_batch(batch)
+        if self._own_release:
+            for now, placement in batch:
+                self.scheduler.release(placement)
+                self.collector.record_release(now)
+                if self.event_log is not None:
+                    self.event_log.record(now, "departure", placement.vm_id)
             return
+        times = []
+        receipts = []
+        circuits = []
         for now, placement in batch:
-            self._handle_departure(placement, now)
-
-    def _apply_departure_batch(
-        self, batch: list[tuple[float, Placement]]
-    ) -> None:
-        """Fused release of a departure run (the tentpole fast path).
-
-        Compute receipts scatter into the occupancy arrays in one pass per
-        resource type; the per-event utilization series is reconstructed
-        *exactly* from the pre-batch totals plus an integer cumulative sum
-        (int64 -> float64 conversion is exact and the division is the same
-        correctly-rounded ``avail / cap`` the scalar path computes, so each
-        gauge row is bit-identical to what per-event sampling would have
-        seen).  Network circuits release through the sequential scalar
-        chain with only the free-link tree upkeep deferred to the batch
-        boundary.  Gauge rows then replay through the bank's batched fold
-        with the same per-row change gate the collector applies per event.
-        """
-        cluster = self.cluster
-        fabric = self.fabric
-        tiers = fabric.tiers
-        num_tiers = len(tiers)
-        n = len(batch)
-        start_avail = [cluster.total_avail(rtype) for rtype in RESOURCE_ORDER]
-        comp_caps = [cluster.total_capacity(rtype) for rtype in RESOURCE_ORDER]
-        times = np.empty(n, dtype=np.float64)
-        released = np.zeros((n, len(RESOURCE_ORDER)), dtype=np.int64)
-        allocations = []
-        groups = []
-        for i, (now, placement) in enumerate(batch):
-            times[i] = now
-            allocations.append(placement.cpu)
-            released[i, 0] = placement.cpu.units
-            allocations.append(placement.ram)
-            released[i, 1] = placement.ram.units
-            if placement.storage is not None:
-                allocations.append(placement.storage)
-                released[i, 2] = placement.storage.units
-            groups.append(placement.circuits)
-        cluster.apply_release_batch(allocations)
-        rows = fabric.release_batch(groups)
-        values = np.empty((n, num_tiers + 3), dtype=np.float64)
-        for i, tier in enumerate(tiers):
-            cap = fabric.tier_capacity_gbps(tier)
-            if cap == 0:
-                values[:, i] = 0.0
+            times.append(now)
+            if placement.storage is None:
+                receipts.append((placement.cpu, placement.ram))
             else:
-                np.divide(rows[:, i], cap, out=values[:, i])
-        for tpos in range(len(RESOURCE_ORDER)):
-            col = num_tiers + tpos
-            cap = comp_caps[tpos]
-            if cap == 0:
-                values[:, col] = 0.0
-            else:
-                avail = start_avail[tpos] + np.cumsum(released[:, tpos])
-                np.divide(avail, cap, out=values[:, col])
-                np.subtract(1.0, values[:, col], out=values[:, col])
-        self.collector.record_release_batch(times, values)
+                receipts.append((placement.cpu, placement.ram, placement.storage))
+            circuits.append(placement.circuits)
+        compute_rows = self.cluster.apply_release_batch(receipts)
+        net_rows = self.fabric.release_batch(circuits)
+        self.collector.record_release_batch(
+            times, [net + comp for net, comp in zip(net_rows, compute_rows)]
+        )
         if self.event_log is not None:
             for now, placement in batch:
                 self.event_log.record(now, "departure", placement.vm_id)

@@ -4,14 +4,6 @@ Each box holds one resource type, subdivided into bricks (Section 3.1).  A
 box keeps an integer ``used_units`` counter (the hot-path quantity) plus
 per-brick occupancy, and notifies its parent rack/cluster so their cached
 aggregates stay O(1) to read.
-
-Under the array state backend (:mod:`repro.state`) a box is a thin view:
-its availability lives in the cluster's per-type ``box_avail`` array and its
-brick occupancy in one contiguous span of the flat ``brick_used`` array.
-Binding swaps the instance's class to :class:`_ArrayBox` (no new slots, only
-overrides), so unbound boxes — hand-built in tests, or under
-``REPRO_STATE_BACKEND=objects`` — run the original plain-attribute code with
-zero overhead.
 """
 
 from __future__ import annotations
@@ -20,8 +12,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import CapacityError
-from ..types import ResourceType
+from ..types import RESOURCE_ORDER, ResourceType
 from .brick import Brick
+
+#: Resource type -> its position in ``RESOURCE_ORDER``.
+_TPOS = {rtype: i for i, rtype in enumerate(RESOURCE_ORDER)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,11 +59,8 @@ class Box:
         "capacity_units",
         "used_units",
         "bricks",
+        "tpos",
         "_on_change",
-        "_state",
-        "_tpos",
-        "_pos",
-        "_brick_lo",
     )
 
     def __init__(
@@ -89,26 +81,12 @@ class Box:
         self.bricks = bricks
         self.capacity_units = sum(b.capacity_units for b in bricks)
         self.used_units = 0
+        #: Position of ``rtype`` in ``RESOURCE_ORDER`` (indexes per-type
+        #: tables such as the cluster's rack maxima without an enum hash).
+        self.tpos = _TPOS[rtype]
         self._on_change = on_change
-        self._state = None
-        self._tpos = 0
-        self._pos = 0
-        self._brick_lo = 0
 
     # ------------------------------------------------------------------ #
-
-    def _bind_state(self, state, tpos: int, pos: int, brick_lo: int) -> None:
-        """Re-home availability into the cluster's state arrays.
-
-        ``state.box_avail[tpos][pos]`` becomes the authority for this box's
-        availability; ``brick_lo`` is the box's first slot in the flat brick
-        occupancy array (the bricks are bound separately).
-        """
-        self._state = state
-        self._tpos = tpos
-        self._pos = pos
-        self._brick_lo = brick_lo
-        self.__class__ = _ArrayBox
 
     def bind_listener(self, on_change: Callable[["Box", int], None] | None) -> None:
         """Attach the availability-change listener (cluster wiring).
@@ -218,106 +196,3 @@ class Box:
             f"avail={self.avail_units}/{self.capacity_units})"
         )
 
-
-class _ArrayBox(Box):
-    """Array-bound view: availability and brick occupancy live in the
-    cluster's state arrays; mutations commit through
-    :meth:`repro.state.ClusterStateArrays.apply_box_delta` so the per-rack
-    maxima and totals stay coherent."""
-
-    __slots__ = ()
-
-    @property
-    def used_units(self) -> int:
-        return self.capacity_units - int(self._state.box_avail[self._tpos][self._pos])
-
-    @property
-    def avail_units(self) -> int:
-        return int(self._state.box_avail[self._tpos][self._pos])
-
-    def _apply_delta(self, delta: int) -> None:
-        """Commit an availability change (positive = release) to the arrays."""
-        self._state.apply_box_delta(self._tpos, self._pos, self.rack_index, delta)
-
-    def allocate(self, units: int) -> BoxAllocation:
-        if units <= 0:
-            raise CapacityError(f"allocation must be positive, got {units}")
-        if units > self.avail_units:
-            raise CapacityError(
-                f"box {self.box_id} ({self.rtype.value}): requested {units} "
-                f"units, only {self.avail_units} available"
-            )
-        remaining = units
-        slices: list[tuple[int, int]] = []
-        # First-fit over one plain-int copy of the brick row, committed with
-        # a single slice write — per-brick array scalar ops would dominate
-        # the placement hot path.
-        arr = self._state.brick_used[self._tpos]
-        lo = self._brick_lo
-        hi = lo + len(self.bricks)
-        row = arr[lo:hi].tolist()
-        for j, brick in enumerate(self.bricks):
-            if remaining == 0:
-                break
-            take = min(remaining, brick.capacity_units - row[j])
-            if take > 0:
-                row[j] += take
-                slices.append((brick.index, take))
-                remaining -= take
-        arr[lo:hi] = row
-        assert remaining == 0, "box/brick accounting diverged"
-        delta = -units
-        self._apply_delta(delta)
-        if self._on_change is not None:
-            self._on_change(self, delta)
-        return BoxAllocation(
-            box_id=self.box_id,
-            rtype=self.rtype,
-            units=units,
-            brick_slices=tuple(slices),
-        )
-
-    def release(self, allocation: BoxAllocation) -> None:
-        if allocation.box_id != self.box_id:
-            raise CapacityError(
-                f"allocation for box {allocation.box_id} released on box "
-                f"{self.box_id}"
-            )
-        if allocation.units > self.used_units:
-            raise CapacityError(
-                f"box {self.box_id}: releasing {allocation.units} units but "
-                f"only {self.used_units} in use"
-            )
-        arr = self._state.brick_used[self._tpos]
-        lo = self._brick_lo
-        hi = lo + len(self.bricks)
-        row = arr[lo:hi].tolist()
-        for brick_index, take in allocation.brick_slices:
-            # Mirror Brick.release exactly, including partial application
-            # before a failing slice surfaces.
-            if take < 0:
-                arr[lo:hi] = row
-                raise CapacityError(f"cannot release negative units: {take}")
-            used = row[brick_index]
-            if take > used:
-                arr[lo:hi] = row
-                raise CapacityError(
-                    f"brick {self.bricks[brick_index].index}: releasing "
-                    f"{take} units but only {used} in use"
-                )
-            row[brick_index] = used - take
-        arr[lo:hi] = row
-        self._apply_delta(allocation.units)
-        if self._on_change is not None:
-            self._on_change(self, allocation.units)
-
-    def set_occupancy(self, brick_used: tuple[int, ...] | list[int]) -> None:
-        self._validate_occupancy(brick_used)
-        old_used = self.used_units
-        lo = self._brick_lo
-        self._state.brick_used[self._tpos][lo : lo + len(self.bricks)] = brick_used
-        delta = old_used - sum(brick_used)
-        if delta != 0:
-            self._apply_delta(delta)
-            if self._on_change is not None:
-                self._on_change(self, delta)

@@ -6,13 +6,6 @@ granularity; we nevertheless track per-brick occupancy inside each box so the
 SiP-module/bandwidth bookkeeping and fragmentation analyses have a physical
 substrate.  Brick selection inside a box is first-fit and does not influence
 scheduling decisions (documented in DESIGN.md Section 5).
-
-Under the array state backend (:mod:`repro.state`) a brick is a thin view:
-its occupancy lives in one slot of the cluster's flat per-type occupancy
-array.  Binding swaps the instance's class to :class:`_ArrayBrick` — which
-adds no slots, only property overrides — so unbound bricks (hand-built in
-tests, or under ``REPRO_STATE_BACKEND=objects``) pay zero overhead: their
-``used_units`` stays a plain slot attribute.
 """
 
 from __future__ import annotations
@@ -24,7 +17,7 @@ from ..types import ResourceType
 class Brick:
     """One brick: ``capacity_units`` of a single resource type."""
 
-    __slots__ = ("index", "rtype", "capacity_units", "used_units", "_arr", "_aidx")
+    __slots__ = ("index", "rtype", "capacity_units", "used_units")
 
     def __init__(
         self,
@@ -37,15 +30,6 @@ class Brick:
         self.rtype = rtype
         self.capacity_units = capacity_units
         self.used_units = used_units
-        self._arr = None
-        self._aidx = 0
-
-    def _bind_array(self, arr, aidx: int) -> None:
-        """Re-home occupancy into ``arr[aidx]`` (array-backend wiring)."""
-        arr[aidx] = self.used_units
-        self._arr = arr
-        self._aidx = aidx
-        self.__class__ = _ArrayBrick
 
     @property
     def avail_units(self) -> int:
@@ -82,16 +66,3 @@ class Brick:
             f"capacity_units={self.capacity_units}, used_units={self.used_units})"
         )
 
-
-class _ArrayBrick(Brick):
-    """Array-bound view: occupancy reads/writes go to the cluster array."""
-
-    __slots__ = ()
-
-    @property
-    def used_units(self) -> int:
-        return int(self._arr[self._aidx])
-
-    @used_units.setter
-    def used_units(self, value: int) -> None:
-        self._arr[self._aidx] = value

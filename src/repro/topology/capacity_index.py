@@ -12,8 +12,9 @@ about the per-type box availability array (rack-major "first box" order):
    (RISA's INTRA_RACK_POOL membership test).
 
 The naive implementations scan Python ``Box`` objects linearly, making every
-VM O(total boxes).  :class:`CapacityIndex` answers all three in O(log n) from
-flat integer arrays:
+VM O(total boxes).  :class:`CapacityIndex` answers the first two in O(log n)
+from flat integer arrays, and the third from the cluster's rack maxima table
+in O(1):
 
 * a **position segment tree** per resource type (max-availability over the
   rack-major order) answers leftmost-fit and range-max queries by descent;
@@ -440,7 +441,7 @@ class _TypeIndex:
 class CapacityIndex:
     """The cluster-wide placement index (one :class:`_TypeIndex` per type)."""
 
-    __slots__ = ("_types",)
+    __slots__ = ("_types", "_cluster")
 
     def __init__(self, cluster: "Cluster") -> None:
         num_racks = cluster.num_racks
@@ -449,6 +450,7 @@ class CapacityIndex:
             rtype: _TypeIndex(cluster.boxes(rtype), num_racks, pod_ranges)
             for rtype in RESOURCE_ORDER
         }
+        self._cluster = cluster
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -463,18 +465,6 @@ class CapacityIndex:
         """Recompute every per-type structure from live box state (O(n))."""
         for tindex in self._types.values():
             tindex.rebuild()
-
-    def reload(self, avail_by_type: "List[List[int]]") -> None:
-        """Bulk-load per-box availability, one list per type aligned with
-        ``RESOURCE_ORDER`` and in box-position order.
-
-        Same effect as :meth:`rebuild` without the per-box attribute reads —
-        the array state backend's bulk-restore path hands the availability
-        straight out of its arrays.
-        """
-        for tindex, values in zip(self._types.values(), avail_by_type):
-            tindex.tree.assign(values)
-            tindex.buckets_active = False
 
     # ------------------------------------------------------------------ #
     # Queries (all return Box or None, preserving naive-scan tie-breaks)
@@ -633,19 +623,9 @@ class CapacityIndex:
         return None if pos is None else tindex.boxes[pos]
 
     def rack_max_avail(self, rtype: ResourceType, rack_index: int) -> int:
-        """Largest single-box availability of ``rtype`` in one rack."""
-        tindex = self._types[rtype]
-        lo, hi = tindex.rack_spans[rack_index]
-        if lo >= hi:
-            return 0
-        if hi - lo <= 16:
-            # Tiny spans (the paper config has 2 boxes per type per rack):
-            # a C-level max over the leaf slice beats a tree descent.
-            base = tindex.tree.size
-            best = max(tindex.tree.tree[base + lo : base + hi])
-        else:
-            best = tindex.tree.range_max(lo, hi)
-        return best if best > 0 else 0
+        """Largest single-box availability of ``rtype`` in one rack (read
+        from the cluster's rack maxima table)."""
+        return self._cluster.racks[rack_index].max_avail(rtype)
 
     def fitting_boxes(self, rtype: ResourceType, units: int) -> list["Box"]:
         """Every box of ``rtype`` that fits, in global order."""

@@ -4,24 +4,32 @@ The cluster keeps O(1) total-availability counters per resource type — the
 denominators of NULB/NALB's contention ratio (Section 4.1) — and exposes the
 rack-major global box ordering that defines "the first box" for first-fit
 searches.
+
+It also owns the rack maxima table: for each resource type, a plain list
+holding every rack's largest single-box availability.  RISA's
+INTRA_RACK_POOL and SUPER_RACK tests (Section 4.2) read it directly, and
+:meth:`Rack.max_avail`, :meth:`Rack.can_host`, and
+:meth:`CapacityIndex.rack_max_avail` all answer from it.  Python ints, not
+numpy: the table is written once per box change and read a few values at a
+time, where per-element numpy access costs more than it saves.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ..errors import CapacityError, TopologyError
-from ..state import ClusterStateArrays, arrays_enabled
 from ..types import RESOURCE_ORDER, ResourceType, ResourceVector
-from .box import Box
+from .box import _TPOS, Box, BoxAllocation
 from .capacity_index import CapacityIndex, index_enabled
 from .rack import Rack
 
 #: With ``REPRO_VERIFY_TOTALS=1`` every :meth:`Cluster.utilization` read
-#: asserts the O(1) running totals against a full box scan — the debug oracle
-#: for the incremental ``on_box_change`` accounting (the scan is what the
-#: totals replaced; it must never run on the hot path otherwise).
+#: asserts the O(1) running totals and the rack maxima table against a full
+#: box scan — the debug oracle for the incremental ``on_box_change``
+#: accounting (the scan is what they replaced; it must never run on the hot
+#: path otherwise).
 _VERIFY_TOTALS = os.environ.get("REPRO_VERIFY_TOTALS", "") == "1"
 
 
@@ -37,7 +45,7 @@ class Cluster:
         "_capacity_index",
         "_pod_rack_ranges",
         "_drained_racks",
-        "_state_arrays",
+        "_rack_max",
         "_version",
     )
 
@@ -56,14 +64,13 @@ class Cluster:
         self._pod_rack_ranges = self._derive_pod_ranges(racks)
         self._drained_racks: set[int] = set()
         self._version = 0
-        # The array backend binds before the capacity index so the index's
-        # construction-time reads already go through the (freshly seeded)
-        # arrays — both see identical values either way.
-        self._state_arrays = ClusterStateArrays(self) if arrays_enabled() else None
-        self._capacity_index = CapacityIndex(self) if index_enabled() else None
+        self._rack_max: tuple[list[int], ...] = tuple(
+            [0] * len(racks) for _ in RESOURCE_ORDER
+        )
+        self._rebuild_rack_max()
         for rack in racks:
-            rack.bind_state_arrays(self._state_arrays)
-            rack.bind_capacity_index(self._capacity_index)
+            rack.bind_rack_max(self._rack_max)
+        self._capacity_index = CapacityIndex(self) if index_enabled() else None
 
     @staticmethod
     def _derive_pod_ranges(racks: list[Rack]) -> tuple[tuple[int, int], ...]:
@@ -141,11 +148,14 @@ class Cluster:
         (``REPRO_PLACEMENT_INDEX=naive``)."""
         return self._capacity_index
 
-    @property
-    def state_arrays(self) -> ClusterStateArrays | None:
-        """The struct-of-arrays occupancy state, or None in object mode
-        (``REPRO_STATE_BACKEND=objects``)."""
-        return self._state_arrays
+    def rack_maxima(self) -> tuple[list[int], ...]:
+        """The rack maxima table: ``table[tpos][rack_index]`` is the largest
+        single-box availability of ``RESOURCE_ORDER[tpos]`` in that rack.
+
+        The lists are live (updated in place on every box change); callers
+        must only read them.
+        """
+        return self._rack_max
 
     @property
     def version(self) -> int:
@@ -202,8 +212,10 @@ class Cluster:
         if _VERIFY_TOTALS:
             assert self.verify_totals(rtype), (
                 f"{rtype.value} running totals diverged from the box scan: "
-                f"avail {self._total_avail[rtype]} != "
-                f"{sum(b.avail_units for b in self._boxes_by_type[rtype])}"
+                f"avail {self._total_avail[rtype]} vs "
+                f"{sum(b.avail_units for b in self._boxes_by_type[rtype])}, "
+                f"rack maxima {self._rack_max[_TPOS[rtype]]} vs "
+                f"{self._scan_rack_max(rtype)}"
             )
         cap = self._total_capacity[rtype]
         if cap == 0:
@@ -211,11 +223,26 @@ class Cluster:
         return 1.0 - self._total_avail[rtype] / cap
 
     def verify_totals(self, rtype: ResourceType) -> bool:
-        """O(n) oracle: do the running totals match a fresh box scan?"""
+        """O(n) oracle: do the running totals and the rack maxima table
+        match a fresh box scan?"""
         boxes = self._boxes_by_type[rtype]
-        return self._total_avail[rtype] == sum(
-            b.avail_units for b in boxes
-        ) and self._total_capacity[rtype] == sum(b.capacity_units for b in boxes)
+        return (
+            self._total_avail[rtype] == sum(b.avail_units for b in boxes)
+            and self._total_capacity[rtype] == sum(b.capacity_units for b in boxes)
+            and self._rack_max[_TPOS[rtype]] == self._scan_rack_max(rtype)
+        )
+
+    def _scan_rack_max(self, rtype: ResourceType) -> list[int]:
+        """Every rack's largest box availability of ``rtype``, by full scan."""
+        return [
+            max((b.avail_units for b in rack.boxes(rtype)), default=0)
+            for rack in self.racks
+        ]
+
+    def _rebuild_rack_max(self) -> None:
+        """Refill the rack maxima table in place from live box state."""
+        for rtype, row in zip(RESOURCE_ORDER, self._rack_max):
+            row[:] = self._scan_rack_max(rtype)
 
     # ------------------------------------------------------------------ #
     # Cache maintenance
@@ -235,7 +262,17 @@ class Cluster:
         self._total_avail[box.rtype] += delta
         if self._capacity_index is not None:
             self._capacity_index.update_box(box)
-        self.racks[box.rack_index].on_box_change(box, delta)
+        rack_index = box.rack_index
+        rack = self.racks[rack_index]
+        rack.on_box_change(box, delta)
+        maxima = self._rack_max[box.tpos]
+        avail = box.avail_units
+        if avail > maxima[rack_index]:
+            maxima[rack_index] = avail
+        elif delta < 0 and avail - delta == maxima[rack_index]:
+            # The box that held the maximum shrank: rescan this rack's boxes
+            # of the type (2 in the paper config).
+            maxima[rack_index] = max(b.avail_units for b in rack.boxes(box.rtype))
         if (
             delta > 0
             and self._drained_racks
@@ -244,41 +281,33 @@ class Cluster:
         ):
             box.set_occupancy([brick.capacity_units for brick in box.bricks])
 
-    def apply_release_batch(self, allocations) -> None:
-        """Release a run of box allocations through the array backend's
-        fused scatter path (the flat engine's departure batches).
+    def apply_release_batch(
+        self, groups: Sequence[Sequence[BoxAllocation]]
+    ) -> list[list[float]]:
+        """Release a run of departures' compute receipts, in event order.
 
-        Equivalent, state-for-state, to releasing each
-        :class:`~repro.topology.box.BoxAllocation` through its box: the
-        arrays settle occupancy/availability/rack maxima in bulk, the cached
-        totals fold per type (integer adds — order-free), and the capacity
-        index is notified once per *touched box* instead of once per event
-        (its tree holds one value per box, so the final write wins either
-        way).  Requires the array backend; callers must fall back to
-        per-event releases while any rack is drained (drain stickiness
-        re-occupies freed units through ``set_occupancy``, a per-box code
-        path batching cannot replicate).
+        ``groups`` holds one sequence of :class:`BoxAllocation` receipts per
+        departing VM.  Each receipt releases through its box, so listeners,
+        drain stickiness, and version counting behave exactly as for
+        one-at-a-time releases.  Returns one row per departure: the
+        utilization of every type in ``RESOURCE_ORDER`` right after it,
+        computed with the same expression as :meth:`utilization`.
         """
-        sa = self._state_arrays
-        if sa is None:
-            raise CapacityError(
-                "apply_release_batch requires the array state backend"
-            )
-        if self._drained_racks:
-            raise CapacityError(
-                "apply_release_batch is not valid while racks are drained"
-            )
-        totals, rack_deltas, touched = sa.apply_release_batch(allocations)
-        self._version += len(allocations)
-        for tpos, rtype in enumerate(RESOURCE_ORDER):
-            total = totals[tpos]
-            if total:
-                self._total_avail[rtype] += total
-            for rack_index, delta in rack_deltas[tpos].items():
-                self.racks[rack_index].apply_avail_delta(rtype, delta)
-        if self._capacity_index is not None:
-            for box_id in touched:
-                self._capacity_index.update_box(self._box_by_id[box_id])
+        box_by_id = self._box_by_id
+        avail = self._total_avail
+        caps = [self._total_capacity[rtype] for rtype in RESOURCE_ORDER]
+        rows: list[list[float]] = []
+        for receipts in groups:
+            for receipt in receipts:
+                box_by_id[receipt.box_id].release(receipt)
+            rows.append([
+                1.0 - avail[rtype] / cap if cap else 0.0
+                for rtype, cap in zip(RESOURCE_ORDER, caps)
+            ])
+        if _VERIFY_TOTALS:
+            for rtype in RESOURCE_ORDER:
+                self.utilization(rtype)
+        return rows
 
     def rebuild_caches(self) -> None:
         """Recompute every derived structure — cluster totals, rack caches,
@@ -290,16 +319,13 @@ class Cluster:
         bricks directly, and the invariant check the property tests lean on.
         """
         self._version += 1
-        if self._state_arrays is not None:
-            # Bricks are the authority; resync the derived arrays first so
-            # the box/rack reads below flow through fresh aggregates.
-            self._state_arrays.resync_from_bricks()
         for rtype in RESOURCE_ORDER:
             self._total_avail[rtype] = sum(
                 b.avail_units for b in self._boxes_by_type[rtype]
             )
         for rack in self.racks:
             rack.rebuild_cache()
+        self._rebuild_rack_max()
         if self._capacity_index is not None:
             self._capacity_index.rebuild()
 
@@ -346,8 +372,6 @@ class Cluster:
 
     def snapshot(self) -> tuple[tuple[int, ...], ...]:
         """Capture per-box, per-brick occupancy; restorable and comparable."""
-        if self._state_arrays is not None:
-            return self._state_arrays.snapshot_tuples()
         return tuple(
             tuple(brick.used_units for brick in self._box_by_id[bid].bricks)
             for bid in sorted(self._box_by_id)
@@ -357,37 +381,33 @@ class Cluster:
         """Restore occupancy captured by :meth:`snapshot`, rebuilding all
         cached aggregates (including the capacity index).
 
+        The whole snapshot is validated before anything is written: a bad
+        row raises :class:`TopologyError` and leaves occupancy, drains, and
+        every cache exactly as they were.
+
         Any active drain is lifted first — a snapshot captures occupancy, so
         restoring one rewinds a :meth:`drain_racks` perturbation wholesale
         (callers that need the drain to survive, like
         ``DDCSimulator.fork``/``restore_run``, re-apply it from their own
         checkpoint after restoring).
         """
+        boxes = [self._box_by_id[bid] for bid in sorted(self._box_by_id)]
+        if len(snap) != len(boxes):
+            raise TopologyError("snapshot shape does not match cluster")
+        for box, brick_used in zip(boxes, snap):
+            try:
+                box._validate_occupancy(brick_used)
+            except CapacityError as exc:
+                raise TopologyError(
+                    f"snapshot invalid for box {box.box_id}: {exc}"
+                ) from exc
         self._drained_racks.clear()
         self._version += 1
-        sa = self._state_arrays
-        if sa is not None:
-            sa.bulk_restore(snap)
-            totals = sa.type_totals()
-            for tpos, rtype in enumerate(RESOURCE_ORDER):
-                self._total_avail[rtype] = totals[tpos]
-                rack_totals = sa.rack_totals(tpos).tolist()
-                for rack, total in zip(self.racks, rack_totals):
-                    rack._total_avail[rtype] = total
-            if self._capacity_index is not None:
-                self._capacity_index.reload(sa.avail_lists())
-            return
-        ids = sorted(self._box_by_id)
-        if len(snap) != len(ids):
-            raise TopologyError("snapshot shape does not match cluster")
-        for bid, brick_used in zip(ids, snap):
-            # The public occupancy API validates shape/range and notifies the
-            # change listener, so the cluster totals, rack caches, and
-            # capacity index all follow.
-            try:
-                self._box_by_id[bid].set_occupancy(brick_used)
-            except CapacityError as exc:
-                raise TopologyError(f"snapshot invalid for box {bid}: {exc}") from exc
+        for box, brick_used in zip(boxes, snap):
+            # The public occupancy API notifies the change listener, so the
+            # cluster totals, rack caches, rack maxima, and capacity index
+            # all follow.
+            box.set_occupancy(brick_used)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(

@@ -1,26 +1,18 @@
 """Racks — groups of single-resource boxes with per-type max-avail queries.
 
 RISA's INTRA_RACK_POOL test needs, for every rack, "the boxes with the
-maximum amount of each resource" (Section 4.2).  When the cluster's
-:class:`~repro.topology.capacity_index.CapacityIndex` is active the maxima
-are answered by its per-rack range queries; otherwise (naive mode, or a rack
-not yet attached to a cluster) :class:`Rack` maintains them incrementally,
-matching the paper's description of RISA's bookkeeping.
+maximum amount of each resource" (Section 4.2).  Those maxima live in one
+table owned by the :class:`~repro.topology.cluster.Cluster` (per type, a
+plain list indexed by rack) and maintained on every box change; a rack reads
+its own column of that table, so it must be attached to a cluster before
+answering max-avail queries.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from ..errors import TopologyError
 from ..types import RESOURCE_ORDER, ResourceType, ResourceVector
-from .box import Box
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .capacity_index import CapacityIndex
-
-#: Resource type -> its array position in the state backend.
-_TPOS = {t: i for i, t in enumerate(RESOURCE_ORDER)}
+from .box import _TPOS, Box
 
 
 class Rack:
@@ -30,10 +22,8 @@ class Rack:
         "index",
         "pod_index",
         "_boxes_by_type",
-        "_max_avail",
         "_total_avail",
-        "_capacity_index",
-        "_state_arrays",
+        "_rack_max",
     )
 
     def __init__(self, index: int, pod_index: int = 0) -> None:
@@ -45,10 +35,8 @@ class Rack:
         self._boxes_by_type: dict[ResourceType, list[Box]] = {
             t: [] for t in RESOURCE_ORDER
         }
-        self._max_avail: dict[ResourceType, int] = {t: 0 for t in RESOURCE_ORDER}
         self._total_avail: dict[ResourceType, int] = {t: 0 for t in RESOURCE_ORDER}
-        self._capacity_index: "CapacityIndex" | None = None
-        self._state_arrays = None
+        self._rack_max: tuple[list[int], ...] | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -62,29 +50,12 @@ class Rack:
                 f"not rack {self.index}"
             )
         self._boxes_by_type[box.rtype].append(box)
-        self._max_avail[box.rtype] = max(self._max_avail[box.rtype], box.avail_units)
         self._total_avail[box.rtype] += box.avail_units
 
-    def bind_state_arrays(self, state) -> None:
-        """Route max-avail queries through the cluster's state arrays.
-
-        Called by the cluster after construction.  While arrays are bound
-        the per-rack ``_max_avail`` cache is neither maintained nor read —
-        the arrays answer from their per-rack maxima directly.
-        """
-        self._state_arrays = state
-
-    def bind_capacity_index(self, index: "CapacityIndex" | None) -> None:
-        """Route max-avail queries through the cluster's capacity index.
-
-        Called by the cluster after construction; ``None`` returns to the
-        incremental per-rack cache, which is rebuilt here — while an index
-        is bound ``on_box_change`` skips max maintenance, so the cache
-        would otherwise be stale.
-        """
-        self._capacity_index = index
-        if index is None:
-            self.rebuild_cache()
+    def bind_rack_max(self, table: tuple[list[int], ...]) -> None:
+        """Read max-avail from the cluster's per-type rack maxima table
+        (``table[tpos][rack_index]``); called by the cluster at build time."""
+        self._rack_max = table
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -103,12 +74,7 @@ class Rack:
 
     def max_avail(self, rtype: ResourceType) -> int:
         """Largest single-box availability of ``rtype`` in this rack."""
-        state = self._state_arrays
-        if state is not None:
-            return state.rack_max_value(_TPOS[rtype], self.index)
-        if self._capacity_index is not None:
-            return self._capacity_index.rack_max_avail(rtype, self.index)
-        return self._max_avail[rtype]
+        return self._rack_max[_TPOS[rtype]][self.index]
 
     def total_avail(self, rtype: ResourceType) -> int:
         """Summed availability of ``rtype`` across the rack's boxes (O(1))."""
@@ -117,23 +83,12 @@ class Rack:
     def can_host(self, request: ResourceVector) -> bool:
         """True when *one box per type* in this rack can hold the whole VM —
         the INTRA_RACK_POOL membership test (Section 4.2)."""
-        state = self._state_arrays
-        if state is not None:
-            return state.rack_can_host(
-                self.index, request.cpu, request.ram, request.storage
-            )
-        index = self._capacity_index
-        if index is not None:
-            return (
-                request.cpu <= index.rack_max_avail(ResourceType.CPU, self.index)
-                and request.ram <= index.rack_max_avail(ResourceType.RAM, self.index)
-                and request.storage
-                <= index.rack_max_avail(ResourceType.STORAGE, self.index)
-            )
+        cpu_max, ram_max, storage_max = self._rack_max
+        i = self.index
         return (
-            request.cpu <= self._max_avail[ResourceType.CPU]
-            and request.ram <= self._max_avail[ResourceType.RAM]
-            and request.storage <= self._max_avail[ResourceType.STORAGE]
+            request.cpu <= cpu_max[i]
+            and request.ram <= ram_max[i]
+            and request.storage <= storage_max[i]
         )
 
     def has_box_for(self, rtype: ResourceType, units: int) -> bool:
@@ -142,45 +97,20 @@ class Rack:
         return units <= self.max_avail(rtype)
 
     # ------------------------------------------------------------------ #
-    # Cache maintenance (called by Box on_change)
+    # Cache maintenance (called by the cluster's box listener)
     # ------------------------------------------------------------------ #
 
     def on_box_change(self, box: Box, delta: int) -> None:
-        """Update cached aggregates after ``box``'s availability changed by
-        ``delta`` units (positive = release, negative = allocate)."""
-        rtype = box.rtype
-        self._total_avail[rtype] += delta
-        if self._capacity_index is not None or self._state_arrays is not None:
-            return  # maxima come from the index/arrays; no per-rack bookkeeping
-        if delta > 0:
-            # Release can only raise the max.
-            if box.avail_units > self._max_avail[rtype]:
-                self._max_avail[rtype] = box.avail_units
-        else:
-            # Allocation may lower the max; recompute over this rack's boxes
-            # of the affected type (2 boxes in the paper config — cheap).
-            self._max_avail[rtype] = max(
-                (b.avail_units for b in self._boxes_by_type[rtype]), default=0
-            )
-
-    def apply_avail_delta(self, rtype: ResourceType, delta: int) -> None:
-        """Fold one batched availability delta into the rack total.
-
-        The cluster's batched-release path calls this once per (rack, type)
-        instead of once per box event.  Only valid while the state arrays
-        are bound: the per-rack maxima then live in (and were already
-        settled by) the arrays, so the total is the only cache to maintain —
-        exactly the work :meth:`on_box_change` does in that configuration.
-        """
-        assert self._state_arrays is not None
-        self._total_avail[rtype] += delta
+        """Fold ``box``'s availability change of ``delta`` units (positive =
+        release, negative = allocate) into the rack total."""
+        self._total_avail[box.rtype] += delta
 
     def rebuild_cache(self) -> None:
-        """Recompute both aggregates from live box state (bulk-restore path)."""
+        """Recompute the per-type totals from live box state."""
         for rtype in RESOURCE_ORDER:
-            boxes = self._boxes_by_type[rtype]
-            self._total_avail[rtype] = sum(b.avail_units for b in boxes)
-            self._max_avail[rtype] = max((b.avail_units for b in boxes), default=0)
+            self._total_avail[rtype] = sum(
+                b.avail_units for b in self._boxes_by_type[rtype]
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(

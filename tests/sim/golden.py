@@ -12,11 +12,12 @@ Re-record (only when a change is *meant* to move simulated outcomes)::
 
     PYTHONPATH=src python tests/sim/golden.py --write
 
-While recording, every cell also runs on the objects state backend, and
-the recorder refuses to write unless it agrees with the default stack.  The
-pins were first recorded while a generator-process reference engine, a
-per-departure release mode and an eager-gauge mode still existed; all of
-them agreed with these values cell for cell.
+The pins were first recorded while a generator-process reference engine, a
+per-departure release mode, an eager-gauge mode and a struct-of-arrays state
+backend still existed; all of them agreed with these values cell for cell.
+The pod-failure cell was recorded while drained states still released one
+departure at a time, so it pins the batched release onto drained racks to
+that per-departure result.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from pathlib import Path
 from repro.config import PRESETS
 from repro.experiments.scenarios import PodFailure
 from repro.sim import DDCSimulator, EventLog
-from repro.state import state_backend
 from repro.workloads import SyntheticWorkloadParams, generate_synthetic
 
 GOLDEN_PATH = Path(__file__).with_name("golden_runs.json")
@@ -93,7 +93,7 @@ def summary_sha256(summary: dict) -> str:
 
 
 def run_cell(cell: Cell) -> dict:
-    """Run one cell (the simulator latches the caller's state backend)."""
+    """Run one cell and return its pin (plus the full summary)."""
     vms = generate_synthetic(SyntheticWorkloadParams(count=cell.count), seed=cell.seed)
     until = None
     if cell.truncated:
@@ -117,16 +117,13 @@ def run_cell(cell: Cell) -> dict:
 
 
 def record() -> dict:
-    """Run every cell, cross-check it, and return its pin by cell key."""
+    """Run every cell and return its pin by cell key."""
     for var in list(os.environ):
         if var.startswith("REPRO_"):
             del os.environ[var]
     entries = {}
     for cell in cells():
         pin = run_cell(cell)
-        with state_backend("objects"):
-            if run_cell(cell) != pin:
-                raise SystemExit(f"{cell.key}: the objects backend disagrees")
         entry = {
             "digest": pin["digest"],
             "end_time": pin["end_time"],

@@ -13,9 +13,10 @@ equal to the uncut run.  The uncut runs themselves are pinned by
 import pytest
 
 from repro.config import paper_default
-from repro.schedulers import PAPER_SCHEDULERS
+from repro.network import NetworkFabric
+from repro.schedulers import PAPER_SCHEDULERS, RISAScheduler
 from repro.sim import DDCSimulator, EventLog
-from repro.state import state_backend
+from repro.topology import build_cluster
 from repro.workloads import SyntheticWorkloadParams, generate_synthetic
 
 
@@ -142,22 +143,50 @@ class TestCutsInsideDeferredState:
         assert clone_result.end_time == parent_result.end_time == end
 
     @pytest.mark.parametrize("scheduler", ("nulb", "nalb"))
-    def test_fork_on_scalar_release_path(self, scheduler):
-        """Cuts agree with the uncut run on the objects backend too, whose
-        departures take the scalar per-event loop instead of the fused
-        batch — both paths share the same checkpoint contract."""
+    def test_fork_with_single_departure_batches(self, monkeypatch, scheduler):
+        """Cuts agree with the uncut run when every departure arrives as
+        its own batch — batch grouping and checkpoints must not interact."""
         spec = paper_default()
         vms = trace(seed=7)
         reference = self._uncut(spec, scheduler, vms)
-        with state_backend("objects"):  # the fork is built inside it too
-            log = EventLog()
-            sim = DDCSimulator(spec, scheduler, event_log=log)
-            sim.start_run(vms)
-            sim.advance(until=self._mid_departure_burst(vms))
-            clone = sim.fork()
-            clone_result = clone.finish()
-            parent_result = sim.finish()
+        original = DDCSimulator._handle_departure_batch
+
+        def one_at_a_time(self, batch):
+            for event in batch:
+                original(self, [event])
+
+        monkeypatch.setattr(DDCSimulator, "_handle_departure_batch", one_at_a_time)
+        log = EventLog()
+        sim = DDCSimulator(spec, scheduler, event_log=log)
+        sim.start_run(vms)
+        sim.advance(until=self._mid_departure_burst(vms))
+        clone = sim.fork()
+        clone_result = clone.finish()
+        parent_result = sim.finish()
         assert (log.digest(), masked(parent_result.summary),
                 parent_result.end_time) == reference
         assert (clone.event_log.digest(), masked(clone_result.summary),
                 clone_result.end_time) == reference
+
+
+def test_overridden_release_is_called_per_departure():
+    """A scheduler that overrides ``release`` keeps it: every departure goes
+    through it, and the run still matches the stock batched release."""
+    released = []
+
+    class RecordingRISA(RISAScheduler):
+        def release(self, placement):
+            released.append(placement.vm_id)
+            super().release(placement)
+
+    spec = paper_default()
+    vms = trace(seed=4)
+    cluster = build_cluster(spec)
+    fabric = NetworkFabric(spec, cluster)
+    log = EventLog()
+    sim = DDCSimulator(spec, RecordingRISA(spec, cluster, fabric),
+                       cluster=cluster, fabric=fabric, event_log=log)
+    result = sim.run(vms)
+    assert len(released) == result.summary.scheduled_vms > 0
+    assert (log.digest(), masked(result.summary), result.end_time) == run_once(
+        spec, "risa", vms)
