@@ -5,8 +5,9 @@ A *cell* is one ``DDCSimulator.run`` of a paper scheduler over a
 ``EventLog`` digest, the end time, and a SHA-256 of the run summary with the
 wall-clock ``scheduler_time_s`` removed; seed-0 cells also keep the full
 summary so a failing replay shows which field moved.
-``test_golden_runs.py`` replays every cell against ``golden_runs.json``;
-the test never writes the file.
+``test_golden_runs.py`` replays every cell against ``golden_runs.json``,
+once per departure path (see :data:`RELEASE_PATHS`); the test never writes
+the file.
 
 Re-record (only when a change is *meant* to move simulated outcomes)::
 
@@ -32,7 +33,10 @@ from pathlib import Path
 
 from repro.config import PRESETS
 from repro.experiments.scenarios import PodFailure
+from repro.network import NetworkFabric
+from repro.schedulers import scheduler_class
 from repro.sim import DDCSimulator, EventLog
+from repro.topology import build_cluster
 from repro.workloads import SyntheticWorkloadParams, generate_synthetic
 
 GOLDEN_PATH = Path(__file__).with_name("golden_runs.json")
@@ -41,6 +45,14 @@ PRESET_NAMES = ("paper", "pod-scale", "vl2", "fat-tree")
 SCHEDULERS = ("risa", "risa_bf", "nulb", "nalb")
 SEEDS = range(20)
 TRACE_COUNT = 60
+
+#: The simulator's two departure paths.  ``batched`` is the stock one: each
+#: run of departures goes through the cluster, fabric and collector batch
+#: entry points.  ``per-departure`` gives the scheduler a ``release``
+#: override (with the stock body), which sends every departure through
+#: ``Scheduler.release`` and ``MetricsCollector.record_release`` one at a
+#: time.  Both must reproduce the same pins.
+RELEASE_PATHS = ("batched", "per-departure")
 
 
 @dataclass(frozen=True)
@@ -92,14 +104,38 @@ def summary_sha256(summary: dict) -> str:
     return hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
 
 
-def run_cell(cell: Cell) -> dict:
-    """Run one cell and return its pin (plus the full summary)."""
+def per_departure_scheduler(name: str, spec, cluster, fabric):
+    """Scheduler ``name`` with ``release`` overridden by its own stock body,
+    so the simulator releases its departures one at a time."""
+    base = scheduler_class(name)
+
+    class PerDeparture(base):
+        def release(self, placement):
+            super().release(placement)
+
+    return PerDeparture(spec, cluster, fabric)
+
+
+def run_cell(cell: Cell, release: str = "batched") -> dict:
+    """Run one cell down one of :data:`RELEASE_PATHS` and return its pin
+    (plus the full summary)."""
     vms = generate_synthetic(SyntheticWorkloadParams(count=cell.count), seed=cell.seed)
     until = None
     if cell.truncated:
         until = sorted(vm.departure for vm in vms)[len(vms) // 2]
     log = EventLog()
-    sim = DDCSimulator(PRESETS[cell.preset](), cell.scheduler, event_log=log)
+    spec = PRESETS[cell.preset]()
+    if release == "batched":
+        sim = DDCSimulator(spec, cell.scheduler, event_log=log)
+    elif release == "per-departure":
+        cluster = build_cluster(spec)
+        fabric = NetworkFabric(spec, cluster)
+        scheduler = per_departure_scheduler(cell.scheduler, spec, cluster, fabric)
+        sim = DDCSimulator(spec, scheduler, cluster=cluster, fabric=fabric,
+                           event_log=log)
+    else:
+        raise ValueError(f"unknown release path {release!r}; "
+                         f"known: {RELEASE_PATHS}")
     if cell.pod_failure is not None:
         when = sorted(vm.arrival for vm in vms)[len(vms) // 3]
         sim.schedule_fault(when, PodFailure(cell.pod_failure))
