@@ -8,13 +8,14 @@ shrinks workloads for test/CI speed; the shapes are preserved.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from ..analysis import ComparisonResult, compare_schedulers, grouped_bars
 from ..config import paper_default
+from ..network import NetworkFabric
 from ..schedulers import PAPER_SCHEDULERS
-from ..topology import placement_mode
-from ..workloads import azure_subset_counts, cpu_histogram, ram_histogram
+from ..schedulers.reference import REFERENCE_SCHEDULERS
+from ..sim import DDCSimulator
+from ..topology import build_cluster
+from ..workloads import VMRequest, azure_subset_counts, cpu_histogram, ram_histogram
 from .base import ExperimentResult
 from .workload_cache import azure_subsets, azure_workload, synthetic_workload
 
@@ -310,26 +311,35 @@ TIMING_REPEATS_QUICK = 5
 QUICK_TIMING_SLACK = 1.10
 
 
-@contextmanager
-def _reference_placement():
-    """Run with the paper's reference (linear-scan) placement search.
+def _reference_times(vms: list[VMRequest]) -> dict[str, float]:
+    """``scheduler_time_s`` of each paper scheduler's reference search.
 
-    Figures 11-12 plot the execution-time *of the algorithms as the paper
-    implemented them* — NALB is the slowest precisely because it sorts the
-    candidate list per VM.  The capacity index deliberately optimizes those
-    scans away, which would erase the figure's subject, so the timing
-    drivers pin ``REPRO_PLACEMENT_INDEX=naive`` for their measured runs.
+    Figures 11-12 plot the execution time *of the algorithms as the paper
+    implemented them*; NALB is the slowest precisely because it sorts the
+    candidate list per VM.  The registered schedulers answer those searches
+    from the capacity index, which would erase the figures' subject, so each
+    run here builds a fresh cluster and fabric and drives the reference
+    scheduler (:mod:`repro.schedulers.reference`) over the same trace.
+
+    The time wraps the whole ``Scheduler.schedule`` call: the box search
+    plus the commit (box allocation, ``allocate_flows``, path resolution).
     """
-    with placement_mode("naive"):
-        yield
+    spec = paper_default()
+    times: dict[str, float] = {}
+    for name in PAPER_SCHEDULERS:
+        cluster = build_cluster(spec)
+        fabric = NetworkFabric(spec, cluster)
+        scheduler = REFERENCE_SCHEDULERS[name](spec, cluster, fabric)
+        sim = DDCSimulator(spec, scheduler, cluster=cluster, fabric=fabric)
+        times[name] = sim.run(vms).summary.scheduler_time_s
+    return times
 
 
 def _min_times(run_once, repeats: int = TIMING_REPEATS) -> dict[str, float]:
     """Per-scheduler minimum of ``scheduler_time_s`` over repeated runs."""
     best: dict[str, float] = {}
     for _ in range(repeats):
-        times = run_once().metric("scheduler_time_s")
-        for name, value in times.items():
+        for name, value in run_once().items():
             if name not in best or value < best[name]:
                 best[name] = value
     return best
@@ -338,8 +348,8 @@ def _min_times(run_once, repeats: int = TIMING_REPEATS) -> dict[str, float]:
 def run_fig11(quick: bool = False, seed: int = 0) -> ExperimentResult:
     """Figure 11: scheduling wall-clock time, synthetic workload."""
     repeats = TIMING_REPEATS_QUICK if quick else TIMING_REPEATS
-    with _reference_placement():
-        times = _min_times(lambda: _compare_synthetic(quick, seed), repeats)
+    vms = synthetic_workload(quick, seed)
+    times = _min_times(lambda: _reference_times(vms), repeats)
     rows = [{"scheduler": k, "scheduler_time_s": v} for k, v in times.items()]
     rendered = grouped_bars(
         ["synthetic"], {k: [v] for k, v in times.items()}, unit=" s",
@@ -375,11 +385,11 @@ def run_fig12(quick: bool = False, seed: int = 0) -> ExperimentResult:
     subsets = list(azure_subsets(quick))
     repeats = TIMING_REPEATS_QUICK if quick else TIMING_REPEATS
     series: dict[str, list[float]] = {name: [] for name in PAPER_SCHEDULERS}
-    with _reference_placement():
-        for subset in subsets:
-            times = _min_times(lambda: _compare_azure(subset, quick, seed), repeats)
-            for name in PAPER_SCHEDULERS:
-                series[name].append(times[name])
+    for subset in subsets:
+        vms = azure_workload(subset, quick, seed)
+        times = _min_times(lambda: _reference_times(vms), repeats)
+        for name in PAPER_SCHEDULERS:
+            series[name].append(times[name])
     rows = [
         {"subset": subsets[i], **{n: series[n][i] for n in PAPER_SCHEDULERS}}
         for i in range(len(subsets))

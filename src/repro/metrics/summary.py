@@ -38,6 +38,10 @@ class RunSummary:
     switch_energy_j: float
     transceiver_energy_j: float
     avg_optical_power_kw: float
+    #: Wall time inside ``Scheduler.schedule`` summed over arrivals (the
+    #: Figure 11/12 quantity): the box search *and* the commit — box
+    #: allocation, ``allocate_flows`` and path resolution — not the search
+    #: alone.
     scheduler_time_s: float
     makespan: float
     #: Per-tier time-weighted network utilization, keyed by gauge name

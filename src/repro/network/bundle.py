@@ -5,13 +5,12 @@ baselines differ in how they pick one: NULB takes "the first available link",
 NALB "the link with the most available bandwidth" (Section 4.1).  Both
 policies are exposed here so schedulers can request either.
 
-Selection no longer scans the links: each bundle keeps a small max segment
+Selection does not scan the links: each bundle keeps a small max segment
 tree over per-link availability (maintained through the links' change
 listeners), so FIRST_FIT is a leftmost-fit descent and MOST_AVAILABLE a
-pruned fold that reproduces the naive scan's epsilon tie-breaking exactly.
+pruned fold that reproduces a linear scan's epsilon tie-breaking exactly.
 Aggregate used/available bandwidth is maintained incrementally, making
-NALB's bandwidth sort keys O(1) reads.  ``REPRO_PLACEMENT_INDEX=naive``
-falls back to the original linear scans.
+NALB's bandwidth sort keys O(1) reads.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import enum
 
 from ..errors import NetworkAllocationError
-from ..topology.capacity_index import MaxSegmentTree, index_enabled
+from ..topology.capacity_index import MaxSegmentTree
 from .link import BANDWIDTH_EPS, Link
 
 
@@ -50,17 +49,14 @@ class LinkBundle:
         self._capacity_gbps = sum(l.capacity_gbps for l in links)
         self._used_gbps = sum(l.used_gbps for l in links)
         self._pos = {id(link): pos for pos, link in enumerate(links)}
-        self._tree = (
-            MaxSegmentTree([l.avail_gbps for l in links]) if index_enabled() else None
-        )
+        self._tree = MaxSegmentTree([l.avail_gbps for l in links])
         for link in links:
             link.bind_listener(self._on_link_change)
 
     def _on_link_change(self, link: Link, delta_used: float) -> None:
         """Keep the aggregate and the free-link index in step with a link."""
         self._used_gbps += delta_used
-        if self._tree is not None:
-            self._tree.update(self._pos[id(link)], link.avail_gbps)
+        self._tree.update(self._pos[id(link)], link.avail_gbps)
 
     @property
     def capacity_gbps(self) -> float:
@@ -99,45 +95,26 @@ class LinkBundle:
                 )
         for pos, (link, capacity) in enumerate(zip(self.links, capacities_gbps)):
             link.capacity_gbps = capacity
-            if self._tree is not None:
-                self._tree.update(pos, link.avail_gbps)
+            self._tree.update(pos, link.avail_gbps)
         self._capacity_gbps = sum(l.capacity_gbps for l in self.links)
 
     def max_link_avail_gbps(self) -> float:
         """Availability of the emptiest link (what a new circuit could get)."""
-        if self._tree is not None:
-            return self._tree.max_all()
-        return max(l.avail_gbps for l in self.links)
+        return self._tree.max_all()
 
     def can_fit(self, demand_gbps: float) -> bool:
         """True when *some single link* can carry ``demand_gbps`` (circuits
         are not split across links)."""
-        if self._tree is not None:
-            return self._tree.max_all() >= demand_gbps - BANDWIDTH_EPS
-        return any(l.can_fit(demand_gbps) for l in self.links)
+        return self._tree.max_all() >= demand_gbps - BANDWIDTH_EPS
 
     def select(self, demand_gbps: float, policy: LinkSelectionPolicy) -> Link | None:
         """Pick a link able to carry ``demand_gbps`` under ``policy``;
         returns None when no single link fits (does not reserve)."""
-        if self._tree is not None:
-            if policy is LinkSelectionPolicy.FIRST_FIT:
-                pos = self._tree.leftmost_at_least(demand_gbps - BANDWIDTH_EPS)
-            else:
-                pos = self._tree.most_available(demand_gbps, BANDWIDTH_EPS)
-            return None if pos is None else self.links[pos]
         if policy is LinkSelectionPolicy.FIRST_FIT:
-            for link in self.links:
-                if link.can_fit(demand_gbps):
-                    return link
-            return None
-        best: Link | None = None
-        best_avail = -1.0
-        for link in self.links:
-            avail = link.avail_gbps
-            if avail > best_avail + BANDWIDTH_EPS and link.can_fit(demand_gbps):
-                best = link
-                best_avail = avail
-        return best
+            pos = self._tree.leftmost_at_least(demand_gbps - BANDWIDTH_EPS)
+        else:
+            pos = self._tree.most_available(demand_gbps, BANDWIDTH_EPS)
+        return None if pos is None else self.links[pos]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LinkBundle({self.name}, {len(self.links)} links)"

@@ -70,7 +70,7 @@ class RISAPodAffinityScheduler(RISAScheduler):
         start_pod = cluster.pod_of_rack(self._cursor % cluster.num_racks)
         for offset in range(num_pods):
             pod = (start_pod + offset) % num_pods
-            if index is not None and any(
+            if any(
                 units.get(rtype) > 0
                 and index.pod_max_avail(rtype, pod) < units.get(rtype)
                 for rtype in RESOURCE_ORDER
@@ -128,14 +128,7 @@ class BestFitGlobalScheduler(_GlobalBoxScheduler):
     name = "best_fit_global"
 
     def _pick(self, rtype: ResourceType, units: int) -> Box | None:
-        index = self.cluster.capacity_index
-        if index is not None:
-            return index.best_fit(rtype, units)
-        best: Box | None = None
-        for box in self.cluster.boxes(rtype):
-            if box.can_fit(units) and (best is None or box.avail_units < best.avail_units):
-                best = box
-        return best
+        return self.cluster.capacity_index.best_fit(rtype, units)
 
 
 class WorstFitGlobalScheduler(_GlobalBoxScheduler):
@@ -144,14 +137,7 @@ class WorstFitGlobalScheduler(_GlobalBoxScheduler):
     name = "worst_fit_global"
 
     def _pick(self, rtype: ResourceType, units: int) -> Box | None:
-        index = self.cluster.capacity_index
-        if index is not None:
-            return index.worst_fit(rtype, units)
-        best: Box | None = None
-        for box in self.cluster.boxes(rtype):
-            if box.can_fit(units) and (best is None or box.avail_units > best.avail_units):
-                best = box
-        return best
+        return self.cluster.capacity_index.worst_fit(rtype, units)
 
 
 class RandomScheduler(_GlobalBoxScheduler):
@@ -181,13 +167,8 @@ class RandomScheduler(_GlobalBoxScheduler):
         self._rng.bit_generator.state = copy.deepcopy(state)
 
     def _pick(self, rtype: ResourceType, units: int) -> Box | None:
-        index = self.cluster.capacity_index
-        if index is not None:
-            # Same boxes in the same (global) order as the naive filter, so
-            # the seeded draw lands on the same box in either mode.
-            feasible = index.fitting_boxes(rtype, units)
-        else:
-            feasible = [b for b in self.cluster.boxes(rtype) if b.can_fit(units)]
+        # Fitting boxes in global order, so the seeded draw is reproducible.
+        feasible = self.cluster.capacity_index.fitting_boxes(rtype, units)
         if not feasible:
             return None
         return feasible[int(self._rng.integers(len(feasible)))]

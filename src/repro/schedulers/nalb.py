@@ -15,17 +15,16 @@ NALB extends NULB in two ways (Section 4.1):
 
 Both steps sort, which is exactly why NALB is the slowest algorithm in the
 paper's Figures 11-12; the sorting *semantics* are intentionally kept (they
-*are* the algorithm).  With the capacity index active the cluster-wide sort
-is realized lazily: racks are visited in the BFS tier order and skipped
-outright via O(log n) max-avail checks, and only the first rack containing a
-fitting box sorts its (few) candidates — the chosen box is provably the one
-the full sort-then-scan would pick, which the cross-mode equivalence tests
-pin bit-for-bit.
+*are* the algorithm).  Here the cluster-wide sort is realized lazily: racks
+are visited in the BFS tier order and skipped outright via O(log n)
+capacity-index checks, and only the first rack containing a fitting box
+sorts its (few) candidates.  The chosen box is provably the one the full
+sort-then-scan would pick; that scan is
+:class:`~repro.schedulers.reference.ReferenceNALB`, and the equivalence
+tests pin the two bit-for-bit.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from ..network import LinkSelectionPolicy
 from ..topology import Box, CapacityIndex
@@ -89,8 +88,6 @@ class NALBScheduler(NULBScheduler):
         rack_filter: frozenset[int] | None,
     ) -> Box | None:
         index = self.cluster.capacity_index
-        if index is None:
-            return super()._neighbor_box(rtype, units, home_rack, rack_filter)
         if not self.rack_affinity:
             # One BFS depth tier per rack, in rack index order; the first
             # rack with any fitting box wins, bandwidth-sorted within it.
@@ -109,32 +106,6 @@ class NALBScheduler(NULBScheduler):
             if box is not None:
                 return box
         return None
-
-    def _neighbor_candidates(
-        self,
-        rtype: ResourceType,
-        home_rack: int,
-        rack_filter: frozenset[int] | None,
-    ) -> Iterable[Box]:
-        if not self.rack_affinity:
-            # Keep NULB's global rack-major frontier but reorder boxes
-            # *within* each rack (one BFS depth tier) by available uplink
-            # bandwidth — "reorders neighbors ... in descending order of
-            # their available bandwidth" (Section 4.1).
-            ordered: list[Box] = []
-            for rack in self.cluster.racks:
-                if rack_filter is not None and rack.index not in rack_filter:
-                    continue
-                ordered.extend(sorted(rack.boxes(rtype), key=self._box_sort_key))
-            return ordered
-        ordered = sorted(
-            self.cluster.rack(home_rack).boxes(rtype), key=self._box_sort_key
-        )
-        for rack_index in self._remote_rack_order(home_rack, rack_filter):
-            ordered.extend(
-                sorted(self.cluster.rack(rack_index).boxes(rtype), key=self._box_sort_key)
-            )
-        return ordered
 
 
 class NALBRackAffinityScheduler(NALBScheduler):

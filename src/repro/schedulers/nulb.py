@@ -15,11 +15,15 @@ encourages inter-rack VM assignments") and toy example 1 describe.  We
 therefore default to the global order and expose the strictly text-faithful
 behaviour as ``rack_affinity = True`` (class attribute), under which
 non-scarce slices prefer the scarce slice's rack.
+
+Every box search is an O(log n) query against the cluster's capacity
+index.  The paper's linear first-fit scans, which Figures 11-12 time, are
+:class:`~repro.schedulers.reference.ReferenceNULB`.
 """
 
 from __future__ import annotations
 
-from typing import ClassVar, Iterable, Mapping
+from typing import ClassVar, Mapping
 
 from ..network import LinkSelectionPolicy
 from ..topology import Box
@@ -40,67 +44,15 @@ class NULBScheduler(Scheduler):
     rack_affinity: ClassVar[bool] = False
 
     # ------------------------------------------------------------------ #
-    # Box search order hooks (NALB overrides these)
-    # ------------------------------------------------------------------ #
-
-    def _scarce_candidates(
-        self, rtype: ResourceType, rack_filter: frozenset[int] | None
-    ) -> Iterable[Box]:
-        """Boxes considered for the scarce slice, in search order."""
-        boxes = self.cluster.boxes(rtype)
-        if rack_filter is None:
-            return boxes
-        return (b for b in boxes if b.rack_index in rack_filter)
-
-    def _neighbor_candidates(
-        self,
-        rtype: ResourceType,
-        home_rack: int,
-        rack_filter: frozenset[int] | None,
-    ) -> Iterable[Box]:
-        """Boxes considered for a non-scarce slice, in search order.
-
-        The rack-affinity BFS walks outward by tier distance: the home rack
-        first, then the rings the fabric hierarchy defines (same pod, same
-        spine group, ...), racks in index order within each ring.  A
-        two-tier fabric has a single ring holding every remote rack, which
-        is exactly the legacy "home rack, then global frontier" order.
-        """
-        if self.rack_affinity:
-            for box in self.cluster.rack(home_rack).boxes(rtype):
-                yield box
-            for ring in self.fabric.rack_rings(home_rack):
-                for lo, hi in ring:
-                    for rack_index in range(lo, hi):
-                        if rack_filter is not None and rack_index not in rack_filter:
-                            continue
-                        yield from self.cluster.rack(rack_index).boxes(rtype)
-            return
-        for box in self.cluster.boxes(rtype):
-            if rack_filter is not None and box.rack_index not in rack_filter:
-                continue
-            yield box
-
-    @staticmethod
-    def _first_fit(candidates: Iterable[Box], units: int) -> Box | None:
-        """First candidate able to hold ``units``."""
-        for box in candidates:
-            if box.can_fit(units):
-                return box
-        return None
-
-    # ------------------------------------------------------------------ #
-    # Box search (indexed fast path with the naive scans as fallback)
+    # Box search (capacity-index queries; the paper's scans live in
+    # ``reference.py``)
     # ------------------------------------------------------------------ #
 
     def _scarce_box(
         self, rtype: ResourceType, units: int, rack_filter: frozenset[int] | None
     ) -> Box | None:
         """The scarce slice's box: global (or filtered) first-fit frontier."""
-        index = self.cluster.capacity_index
-        if index is None:
-            return self._first_fit(self._scarce_candidates(rtype, rack_filter), units)
-        return index.first_fit_in_racks(rtype, units, rack_filter)
+        return self.cluster.capacity_index.first_fit_in_racks(rtype, units, rack_filter)
 
     def _neighbor_box(
         self,
@@ -111,17 +63,14 @@ class NULBScheduler(Scheduler):
     ) -> Box | None:
         """A non-scarce slice's box, honoring the ``rack_affinity`` mode."""
         index = self.cluster.capacity_index
-        if index is None:
-            return self._first_fit(
-                self._neighbor_candidates(rtype, home_rack, rack_filter), units
-            )
         if not self.rack_affinity:
             return index.first_fit_in_racks(rtype, units, rack_filter)
-        # Text-faithful BFS: the scarce slice's rack first (unfiltered, as
-        # in the naive candidate order), then outward ring by ring — each
-        # ring is a handful of contiguous rack ranges, answered by one
-        # O(log n) segment-tree query per run.  Two-tier fabrics have a
-        # single ring (every remote rack), the legacy frontier.
+        # Text-faithful BFS: the scarce slice's rack first (unfiltered),
+        # then outward by tier distance ring by ring (same pod, same spine
+        # group, ...) — each ring is a handful of contiguous rack ranges,
+        # answered by one O(log n) segment-tree query per run.  Two-tier
+        # fabrics have a single ring (every remote rack), the legacy
+        # frontier.
         box = index.first_fit_in_rack(rtype, units, home_rack)
         if box is not None:
             return box

@@ -12,14 +12,16 @@ back to NULB restricted to those racks (inter-rack assignment).
 
 Box choice inside the chosen rack is first-fit in box-index order; RISA-BF
 (Algorithm 3) overrides it to best-fit (ascending availability) to reduce
-resource stranding.
+resource stranding.  Both are capacity-index range queries; the paper's
+linear scans are the reference schedulers in
+:mod:`repro.schedulers.reference`.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress, repeat
 from operator import ge
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from ..config import ClusterSpec
 from ..errors import SchedulerError
@@ -38,11 +40,13 @@ class RISAScheduler(Scheduler):
     link_policy = LinkSelectionPolicy.FIRST_FIT
     #: Box-selection mode inside the chosen rack; RISA-BF overrides.
     best_fit = False
+    #: The inter-rack fallback run over SUPER_RACK.
+    fallback_class: ClassVar[type[NULBScheduler]] = NULBScheduler
 
     def __init__(self, spec: ClusterSpec, cluster: Cluster, fabric: NetworkFabric) -> None:
         super().__init__(spec, cluster, fabric)
         self._cursor = 0
-        self._fallback = NULBScheduler(spec, cluster, fabric)
+        self._fallback = self.fallback_class(spec, cluster, fabric)
         self._all_racks = frozenset(range(cluster.num_racks))
 
     def snapshot_state(self) -> object | None:
@@ -65,28 +69,16 @@ class RISAScheduler(Scheduler):
 
         First-fit in index order for RISA; best-fit (smallest sufficient
         availability, Algorithm 3's ascending sort) for RISA-BF.  Both are
-        single O(log n) range queries against the capacity index when it is
-        active; the naive scans below are the ``REPRO_PLACEMENT_INDEX=naive``
-        reference.
+        single O(log n) range queries against the capacity index; the
+        paper's scans of the rack's boxes are
+        :class:`~repro.schedulers.reference.ReferenceRISA`.
         """
         if units == 0:
             return None
         index = self.cluster.capacity_index
-        if index is not None:
-            if self.best_fit:
-                return index.best_fit_in_rack(rtype, units, rack.index)
-            return index.first_fit_in_rack(rtype, units, rack.index)
-        boxes = rack.boxes(rtype)
-        if not self.best_fit:
-            for box in boxes:
-                if box.can_fit(units):
-                    return box
-            return None
-        best: Box | None = None
-        for box in boxes:
-            if box.can_fit(units) and (best is None or box.avail_units < best.avail_units):
-                best = box
-        return best
+        if self.best_fit:
+            return index.best_fit_in_rack(rtype, units, rack.index)
+        return index.first_fit_in_rack(rtype, units, rack.index)
 
     def _try_rack(self, rack: Rack, request: ResolvedRequest) -> Placement | None:
         """Attempt a fully intra-rack assignment in one pool rack."""

@@ -5,7 +5,8 @@ collector together, then drives a VM trace through a discrete-event engine:
 each VM arrives at its trace time, is scheduled (or dropped), and — if
 placed — departs after its lifetime, releasing compute and network
 resources.  Scheduler decision time is measured with ``perf_counter`` around
-the ``schedule()`` call only, which is the Figure 11/12 quantity.
+the ``schedule()`` call only, which is the Figure 11/12 quantity; that call
+covers the box search and the commit (box allocation and circuits).
 
 The engine is the typed arrival/departure calendar in
 :mod:`repro.sim.engine`: arrivals stream lazily from the trace, departures

@@ -8,15 +8,7 @@ quantization) with conservation enforced at every level.
 from .box import Box, BoxAllocation
 from .brick import Brick
 from .builder import build_cluster, prime_availability
-from .capacity_index import (
-    PLACEMENT_INDEX_ENV,
-    PLACEMENT_MODES,
-    CapacityIndex,
-    MaxSegmentTree,
-    index_enabled,
-    placement_index_mode,
-    placement_mode,
-)
+from .capacity_index import CapacityIndex, MaxSegmentTree
 from .cluster import Cluster
 from .defrag import Migration, MigrationPlan, apply_plan, plan_rack_defrag
 from .rack import Rack
@@ -30,12 +22,7 @@ __all__ = [
     "MaxSegmentTree",
     "Migration",
     "MigrationPlan",
-    "PLACEMENT_INDEX_ENV",
-    "PLACEMENT_MODES",
     "apply_plan",
-    "index_enabled",
-    "placement_index_mode",
-    "placement_mode",
     "plan_rack_defrag",
     "Rack",
     "build_cluster",

@@ -11,10 +11,10 @@ about the per-type box availability array (rack-major "first box" order):
 3. *rack max-avail* — the largest single-box availability inside one rack
    (RISA's INTRA_RACK_POOL membership test).
 
-The naive implementations scan Python ``Box`` objects linearly, making every
-VM O(total boxes).  :class:`CapacityIndex` answers the first two in O(log n)
-from flat integer arrays, and the third from the cluster's rack maxima table
-in O(1):
+The paper's implementations scan Python ``Box`` objects linearly, making
+every VM O(total boxes).  :class:`CapacityIndex` answers the first two in
+O(log n) from flat integer arrays, and the third from the cluster's rack
+maxima table in O(1):
 
 * a **position segment tree** per resource type (max-availability over the
   rack-major order) answers leftmost-fit and range-max queries by descent;
@@ -24,73 +24,24 @@ in O(1):
 
 The index is maintained incrementally by :meth:`Cluster.on_box_change`
 (every allocate/release/restore routes through it) and can be rebuilt in
-O(n) after a bulk restore.  Set ``REPRO_PLACEMENT_INDEX=naive`` to disable
-it process-wide: schedulers, racks, and link bundles then fall back to the
-original linear scans — the A/B lever the equivalence tests and benchmarks
-use.  Both modes are pinned to bit-identical placements.
+O(n) after a bulk restore.  Every scheduler searches through it; the
+paper's linear scans survive only as the reference schedulers in
+:mod:`repro.schedulers.reference`, which the Figure 11/12 timing drivers
+run and the equivalence tests pin bit-identical to the indexed search.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, insort
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
-from ..errors import SimulationError
 from ..types import RESOURCE_ORDER, ResourceType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster imports us)
     from .box import Box
     from .cluster import Cluster
 
-#: Environment variable selecting the placement query implementation.
-PLACEMENT_INDEX_ENV = "REPRO_PLACEMENT_INDEX"
-
-#: Accepted values of :data:`PLACEMENT_INDEX_ENV`.
-PLACEMENT_MODES: tuple[str, ...] = ("indexed", "naive")
-
 _NEG_INF = float("-inf")
-
-
-def placement_index_mode() -> str:
-    """The process-wide placement query mode (read once per construction)."""
-    mode = os.environ.get(PLACEMENT_INDEX_ENV, "indexed")
-    if mode not in PLACEMENT_MODES:
-        raise SimulationError(
-            f"{PLACEMENT_INDEX_ENV}={mode!r} is not a known mode; "
-            f"choose from {PLACEMENT_MODES}"
-        )
-    return mode
-
-
-def index_enabled() -> bool:
-    """True unless ``REPRO_PLACEMENT_INDEX=naive`` is set."""
-    return placement_index_mode() == "indexed"
-
-
-@contextmanager
-def placement_mode(mode: str) -> Iterator[None]:
-    """Temporarily pin the placement query mode for the enclosed block.
-
-    Clusters and bundles latch the mode at construction, so wrap the
-    *constructors* (building a simulator is enough); already-built objects
-    are unaffected.  Used by the A/B benchmarks, the equivalence tests, and
-    the Figure 11/12 drivers that measure the naive reference scans.
-    """
-    if mode not in PLACEMENT_MODES:
-        raise SimulationError(
-            f"unknown placement mode {mode!r}; choose from {PLACEMENT_MODES}"
-        )
-    old = os.environ.get(PLACEMENT_INDEX_ENV)
-    os.environ[PLACEMENT_INDEX_ENV] = mode
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(PLACEMENT_INDEX_ENV, None)
-        else:
-            os.environ[PLACEMENT_INDEX_ENV] = old
 
 
 class MaxSegmentTree:
@@ -314,12 +265,12 @@ class MaxSegmentTree:
     def most_available(self, demand: float, eps: float) -> Optional[int]:
         """The position a left-to-right "most available" scan would pick.
 
-        Replicates the exact fold of the naive link scan — a candidate
+        Replicates the exact fold of a linear link scan — a candidate
         replaces the running best only when its value exceeds it by more
         than ``eps`` *and* covers ``demand`` (within ``eps``) — but prunes
         every subtree whose max cannot beat the running best.  Positions a
         pruned subtree skips would all fail the ``> best + eps`` test, so
-        the result is bit-identical to the naive scan.
+        the result is bit-identical to the linear scan.
         """
         tree, size = self.tree, self.size
         n = self.n
@@ -467,7 +418,7 @@ class CapacityIndex:
             tindex.rebuild()
 
     # ------------------------------------------------------------------ #
-    # Queries (all return Box or None, preserving naive-scan tie-breaks)
+    # Queries (all return Box or None, preserving linear-scan tie-breaks)
     # ------------------------------------------------------------------ #
 
     def first_fit(self, rtype: ResourceType, units: int) -> Optional["Box"]:

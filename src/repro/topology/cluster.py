@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from ..errors import CapacityError, TopologyError
 from ..types import RESOURCE_ORDER, ResourceType, ResourceVector
 from .box import _TPOS, Box, BoxAllocation
-from .capacity_index import CapacityIndex, index_enabled
+from .capacity_index import CapacityIndex
 from .rack import Rack
 
 #: With ``REPRO_VERIFY_TOTALS=1`` every :meth:`Cluster.utilization` read
@@ -70,7 +70,7 @@ class Cluster:
         self._rebuild_rack_max()
         for rack in racks:
             rack.bind_rack_max(self._rack_max)
-        self._capacity_index = CapacityIndex(self) if index_enabled() else None
+        self._capacity_index = CapacityIndex(self)
 
     @staticmethod
     def _derive_pod_ranges(racks: list[Rack]) -> tuple[tuple[int, int], ...]:
@@ -143,9 +143,8 @@ class Cluster:
         return self.racks[rack_index].pod_index
 
     @property
-    def capacity_index(self) -> CapacityIndex | None:
-        """The O(log n) placement index, or None in naive mode
-        (``REPRO_PLACEMENT_INDEX=naive``)."""
+    def capacity_index(self) -> CapacityIndex:
+        """The O(log n) placement index every scheduler searches through."""
         return self._capacity_index
 
     def rack_maxima(self) -> tuple[list[int], ...]:
@@ -260,8 +259,7 @@ class Cluster:
         """
         self._version += 1
         self._total_avail[box.rtype] += delta
-        if self._capacity_index is not None:
-            self._capacity_index.update_box(box)
+        self._capacity_index.update_box(box)
         rack_index = box.rack_index
         rack = self.racks[rack_index]
         rack.on_box_change(box, delta)
@@ -326,8 +324,7 @@ class Cluster:
         for rack in self.racks:
             rack.rebuild_cache()
         self._rebuild_rack_max()
-        if self._capacity_index is not None:
-            self._capacity_index.rebuild()
+        self._capacity_index.rebuild()
 
     # ------------------------------------------------------------------ #
     # Fault injection (scenario studies)

@@ -1,10 +1,11 @@
-"""Bundle free-link indexes: indexed select must mirror the naive scans.
+"""Bundle free-link indexes: indexed select must mirror a linear scan.
 
 The per-bundle max segment tree answers FIRST_FIT by leftmost descent and
-MOST_AVAILABLE by a pruned fold of the naive epsilon tie-breaking scan;
-random reserve/free churn over paired bundles (one indexed, one naive) pins
-both policies to identical link choices.  Also covers the fabric-level
-release guard: tier under-accounting raises instead of silently clamping.
+MOST_AVAILABLE by a pruned fold of the epsilon tie-breaking scan; random
+reserve/free churn pins both policies, ``can_fit`` and
+``max_link_avail_gbps`` to the plain linear-scan oracle below.  Also covers
+the fabric-level release guard: tier under-accounting raises instead of
+silently clamping.
 """
 
 import random
@@ -14,73 +15,64 @@ import pytest
 from repro.config import tiny_test
 from repro.errors import NetworkAllocationError
 from repro.network import Link, LinkBundle, LinkSelectionPolicy, NetworkFabric
-from repro.topology import PLACEMENT_INDEX_ENV, build_cluster
+from repro.network.link import BANDWIDTH_EPS
+from repro.topology import build_cluster
 from repro.types import LinkTier
 
 
-@pytest.fixture(autouse=True)
-def _indexed_mode(monkeypatch):
-    """Pin indexed mode; the paired-bundle helpers flip to naive locally."""
-    monkeypatch.setenv(PLACEMENT_INDEX_ENV, "indexed")
+def scan_select(links, demand, policy):
+    """The linear link scan: first fitting link, or the most available one
+    (a candidate must beat the running best by more than epsilon)."""
+    if policy is LinkSelectionPolicy.FIRST_FIT:
+        return next((link for link in links if link.can_fit(demand)), None)
+    best, best_avail = None, -1.0
+    for link in links:
+        if link.avail_gbps > best_avail + BANDWIDTH_EPS and link.can_fit(demand):
+            best, best_avail = link, link.avail_gbps
+    return best
 
 
-def make_pair(n=6, capacity=100.0, monkeypatch=None):
-    """Two bundles over structurally identical links: indexed and naive."""
-    indexed_links = [
-        Link(i, LinkTier.INTRA_RACK, capacity, "box:0", "rack:0") for i in range(n)
-    ]
-    indexed = LinkBundle("indexed", indexed_links)
-    monkeypatch.setenv(PLACEMENT_INDEX_ENV, "naive")
-    naive_links = [
-        Link(i, LinkTier.INTRA_RACK, capacity, "box:0", "rack:0") for i in range(n)
-    ]
-    naive = LinkBundle("naive", naive_links)
-    monkeypatch.setenv(PLACEMENT_INDEX_ENV, "indexed")
-    assert indexed._tree is not None and naive._tree is None
-    return indexed, naive
+def make_bundle(n=6, capacity=100.0):
+    links = [Link(i, LinkTier.INTRA_RACK, capacity, "box:0", "rack:0") for i in range(n)]
+    return LinkBundle("bundle", links)
 
 
 @pytest.mark.parametrize("policy", list(LinkSelectionPolicy))
 @pytest.mark.parametrize("seed", range(5))
-def test_select_equivalence_under_churn(policy, seed, monkeypatch):
-    """Property: random reserve/free sequences keep both implementations
-    choosing the same link for the same demand."""
+def test_select_equivalence_under_churn(policy, seed):
+    """Property: random reserve/free sequences keep the indexed bundle
+    choosing the link the linear scan chooses for the same demand."""
     rng = random.Random(seed)
-    indexed, naive = make_pair(monkeypatch=monkeypatch)
-    reserved = []  # (link_pos, gbps) applied to both bundles
+    bundle = make_bundle()
+    links = bundle.links
+    reserved = []  # (link_pos, gbps)
     for _ in range(300):
         op = rng.random()
         if op < 0.5 and len(reserved) < 40:
-            pos = rng.randrange(len(indexed.links))
+            pos = rng.randrange(len(links))
             demand = rng.choice([0.0, 1.0, 2.5, 5.0, 10.0, 40.0])
-            if indexed.links[pos].can_fit(demand):
-                indexed.links[pos].reserve(demand)
-                naive.links[pos].reserve(demand)
+            if links[pos].can_fit(demand):
+                links[pos].reserve(demand)
                 reserved.append((pos, demand))
         elif op < 0.8 and reserved:
             pos, demand = reserved.pop(rng.randrange(len(reserved)))
-            indexed.links[pos].free(demand)
-            naive.links[pos].free(demand)
+            links[pos].free(demand)
         demand = rng.choice([0.0, 1.0, 5.0, 25.0, 60.0, 99.0, 101.0])
-        got = indexed.select(demand, policy)
-        want = naive.select(demand, policy)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got.link_id == want.link_id
-        assert indexed.can_fit(demand) == naive.can_fit(demand)
-        assert indexed.used_gbps == pytest.approx(naive.used_gbps)
-        assert indexed.max_link_avail_gbps() == pytest.approx(
-            naive.max_link_avail_gbps()
+        assert bundle.select(demand, policy) is scan_select(links, demand, policy)
+        assert bundle.can_fit(demand) == any(link.can_fit(demand) for link in links)
+        assert bundle.used_gbps == pytest.approx(sum(link.used_gbps for link in links))
+        assert bundle.max_link_avail_gbps() == pytest.approx(
+            max(link.avail_gbps for link in links)
         )
 
 
-def test_select_does_not_scan_stale_state(monkeypatch):
+def test_select_does_not_scan_stale_state():
     """Direct link mutation (no bundle call in between) is still observed."""
-    indexed, _ = make_pair(n=3, monkeypatch=monkeypatch)
-    indexed.links[0].reserve(95.0)
-    assert indexed.select(10.0, LinkSelectionPolicy.FIRST_FIT) is indexed.links[1]
-    indexed.links[0].free(95.0)
-    assert indexed.select(10.0, LinkSelectionPolicy.FIRST_FIT) is indexed.links[0]
+    bundle = make_bundle(n=3)
+    bundle.links[0].reserve(95.0)
+    assert bundle.select(10.0, LinkSelectionPolicy.FIRST_FIT) is bundle.links[1]
+    bundle.links[0].free(95.0)
+    assert bundle.select(10.0, LinkSelectionPolicy.FIRST_FIT) is bundle.links[0]
 
 
 class TestFabricReleaseGuard:

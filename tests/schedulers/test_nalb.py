@@ -5,6 +5,7 @@ import pytest
 from repro.config import paper_default
 from repro.network import LinkSelectionPolicy, NetworkFabric
 from repro.schedulers import NALBScheduler, NULBScheduler
+from repro.schedulers.reference import ReferenceNALB
 from repro.topology import build_cluster
 from repro.types import ResourceType
 from repro.workloads import resolve
@@ -26,25 +27,28 @@ def test_link_policy_is_most_available():
 
 def test_within_rack_boxes_sorted_by_uplink_bandwidth(env):
     spec, cluster, fabric = env
-    scheduler = NALBScheduler(spec, cluster, fabric)
+    reference = ReferenceNALB(spec, cluster, fabric)
     # Load box 0's uplinks in rack 0 (RAM boxes are ids per type order).
     ram0, ram1 = cluster.rack(0).boxes(ResourceType.RAM)
     for link in fabric.box_bundle(ram0.box_id).links:
         link.reserve(50.0)
     candidates = list(
-        scheduler._neighbor_candidates(ResourceType.RAM, home_rack=0, rack_filter=None)
+        reference._neighbor_candidates(ResourceType.RAM, home_rack=0, rack_filter=None)
     )
     # Within rack 0 the unloaded box must now come first.
     rack0_candidates = [b for b in candidates if b.rack_index == 0]
     assert rack0_candidates[0] is ram1
+    # The indexed search picks the same box without sorting the list.
+    scheduler = NALBScheduler(spec, cluster, fabric)
+    assert scheduler._neighbor_box(ResourceType.RAM, 1, 0, None) is ram1
 
 
 def test_rack_major_frontier_preserved(env):
     """NALB keeps NULB's rack-major order between racks (default mode)."""
     spec, cluster, fabric = env
-    scheduler = NALBScheduler(spec, cluster, fabric)
+    reference = ReferenceNALB(spec, cluster, fabric)
     candidates = list(
-        scheduler._neighbor_candidates(ResourceType.CPU, home_rack=0, rack_filter=None)
+        reference._neighbor_candidates(ResourceType.CPU, home_rack=0, rack_filter=None)
     )
     racks = [b.rack_index for b in candidates]
     assert racks == sorted(racks)

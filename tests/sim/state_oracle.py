@@ -34,10 +34,9 @@ def assert_cluster_consistent(cluster) -> None:
             assert rack.total_avail(rtype) == sum(
                 b.avail_units for b in rack.boxes(rtype)
             )
-        if index is not None:
-            for units in INDEX_PROBES:
-                scan = next((b for b in boxes if b.avail_units >= units), None)
-                assert index.first_fit(rtype, units) is scan, (rtype, units)
+        for units in INDEX_PROBES:
+            scan = next((b for b in boxes if b.avail_units >= units), None)
+            assert index.first_fit(rtype, units) is scan, (rtype, units)
 
 
 def assert_fabric_consistent(fabric) -> None:

@@ -1,9 +1,10 @@
-"""Cross-mode determinism: indexed vs naive placement must be identical.
+"""Indexed vs reference search: placements must be identical.
 
-The capacity index (and the bundle free-link indexes) replace every linear
+The capacity index (and the bundle free-link trees) replace every linear
 placement scan; these tests pin the contract that makes that safe — on any
-trace, ``REPRO_PLACEMENT_INDEX=indexed`` and ``=naive`` produce the *same*
-event stream (EventLog digest), the same summary (modulo wall-clock
+trace, each registered scheduler and its reference search
+(:mod:`repro.schedulers.reference`, the paper's linear scans) produce the
+*same* event stream (EventLog digest), the same summary (modulo wall-clock
 scheduler time), and the same end state, for all four paper schedulers.
 Random synthetic traces over seeds 0-19 cover steady-state behavior; an
 oversubscribed tiny cluster exercises the drop + commit-rollback paths; a
@@ -14,41 +15,25 @@ import pytest
 
 from repro.config import paper_default, tiny_test
 from repro.schedulers import PAPER_SCHEDULERS
-from repro.sim import DDCSimulator, EventLog
-from repro.topology import PLACEMENT_INDEX_ENV, placement_mode
+from repro.sim import DDCSimulator
 from repro.types import ResourceType
 from repro.workloads import SyntheticWorkloadParams, generate_synthetic
-
-MODES = ("indexed", "naive")
-
-
-@pytest.fixture(autouse=True)
-def _indexed_default(monkeypatch):
-    """Pin the ambient mode to indexed; ``run_mode`` flips it per run."""
-    monkeypatch.setenv(PLACEMENT_INDEX_ENV, "indexed")
-
-
-def run_mode(spec, scheduler, vms, mode, until=None):
-    """One flat-engine run with the placement mode latched at construction."""
-    with placement_mode(mode):
-        log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log)
-    result = sim.run(vms, until=until)
-    summary = result.summary.as_dict()
-    summary.pop("scheduler_time_s")  # the one legitimately nondeterministic field
-    return log.digest(), summary, result.end_time, sim
+from tests.sim.reference_runs import run_sim
 
 
 def run_both(spec, scheduler, vms, until=None):
-    return {mode: run_mode(spec, scheduler, vms, mode, until) for mode in MODES}
+    return {
+        "indexed": run_sim(spec, scheduler, vms, until=until),
+        "reference": run_sim(spec, scheduler, vms, reference=True, until=until),
+    }
 
 
 def assert_equivalent(out):
     idx_digest, idx_summary, idx_end, _ = out["indexed"]
-    naive_digest, naive_summary, naive_end, _ = out["naive"]
-    assert idx_digest == naive_digest
-    assert idx_summary == naive_summary
-    assert idx_end == naive_end
+    ref_digest, ref_summary, ref_end, _ = out["reference"]
+    assert idx_digest == ref_digest
+    assert idx_summary == ref_summary
+    assert idx_end == ref_end
 
 
 class TestRandomTraceEquivalence:
@@ -71,7 +56,7 @@ class TestOversubscriptionEquivalence:
     @pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
     def test_drop_and_rollback_paths(self, scheduler):
         """An oversubscribed tiny cluster forces drops (and scheduler commit
-        rollbacks); both modes must agree on every drop decision."""
+        rollbacks); both searches must agree on every drop decision."""
         vms = generate_synthetic(SyntheticWorkloadParams(count=200), seed=1)
         out = run_both(tiny_test(), scheduler, vms)
         assert_equivalent(out)
@@ -79,16 +64,23 @@ class TestOversubscriptionEquivalence:
         assert summary["dropped_vms"] > 0  # the path is actually exercised
 
     def test_capacity_identical_after_run(self):
-        """Post-run cluster/fabric state matches across modes."""
+        """Post-run cluster/fabric state matches across searches; mid-trace,
+        with VMs live, every brick and link matches too (digests record
+        racks, not boxes, so this pins the box and link choices)."""
         vms = generate_synthetic(SyntheticWorkloadParams(count=150), seed=2)
         out = run_both(tiny_test(), "risa", vms)
-        idx_sim, naive_sim = out["indexed"][3], out["naive"][3]
+        idx_sim, ref_sim = out["indexed"][3], out["reference"][3]
         for rtype in ResourceType:
-            assert idx_sim.cluster.total_avail(rtype) == naive_sim.cluster.total_avail(rtype)
+            assert idx_sim.cluster.total_avail(rtype) == ref_sim.cluster.total_avail(rtype)
         assert (
             idx_sim.fabric.intra_rack_utilization()
-            == naive_sim.fabric.intra_rack_utilization()
+            == ref_sim.fabric.intra_rack_utilization()
         )
+        for scheduler in PAPER_SCHEDULERS:
+            out = run_both(paper_default(), scheduler, vms, until=vms[100].arrival)
+            idx_sim, ref_sim = out["indexed"][3], out["reference"][3]
+            assert idx_sim.cluster.snapshot() == ref_sim.cluster.snapshot()
+            assert idx_sim.fabric.snapshot() == ref_sim.fabric.snapshot()
 
 
 class TestCheckpointRollback:

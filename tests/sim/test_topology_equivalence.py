@@ -6,13 +6,14 @@ Two contracts are pinned here:
    chain is derived from the legacy ``NetworkConfig`` scalars or written as
    an explicit two-tier :class:`FabricTopology`, produces the *same* event
    stream (EventLog digest), summary, and end state for all four paper
-   schedulers over seeds 0-19, in both indexed and naive placement modes.
-   Together with the index-equivalence suite this pins the N-tier resolver
-   to the pre-refactor fabric bit-for-bit.
+   schedulers over seeds 0-19; the rack-affinity variants also match their
+   reference (linear-scan) search.  Together with the index-equivalence
+   suite this pins the N-tier resolver to the pre-refactor fabric
+   bit-for-bit.
 2. **Multi-tier viability** — a 3-tier pod preset runs end-to-end through
    simulation, sweep, metrics, energy, and the figure-comparison machinery,
-   with indexed and naive modes agreeing (the new ring/pod index queries
-   against the naive scans).
+   with the indexed schedulers agreeing with their reference searches (the
+   ring/pod index queries against the linear scans).
 """
 
 import pytest
@@ -27,9 +28,9 @@ from repro.config import (
 )
 from repro.experiments import SimulationSession
 from repro.schedulers import PAPER_SCHEDULERS
-from repro.sim import DDCSimulator, EventLog
-from repro.topology import PLACEMENT_INDEX_ENV, placement_mode
+from repro.sim import DDCSimulator
 from repro.workloads import SyntheticWorkloadParams, generate_synthetic
+from tests.sim.reference_runs import run_sim as _run_sim
 
 
 def explicit_two_tier_spec():
@@ -46,14 +47,9 @@ def explicit_two_tier_spec():
     return spec.with_overrides(network=NetworkConfig(topology=topology))
 
 
-def run_sim(spec, scheduler, vms, mode="indexed"):
-    with placement_mode(mode):
-        log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log)
-    result = sim.run(vms)
-    summary = result.summary.as_dict()
-    summary.pop("scheduler_time_s")
-    return log.digest(), summary, result.end_time
+def run_sim(spec, scheduler, vms, reference=False):
+    """(digest, summary, end time) of one run."""
+    return _run_sim(spec, scheduler, vms, reference=reference)[:3]
 
 
 class TestLegacyTwoTierGuarantee:
@@ -69,12 +65,12 @@ class TestLegacyTwoTierGuarantee:
     @pytest.mark.parametrize("scheduler", ["nulb_rack_affinity", "nalb_rack_affinity"])
     def test_rack_affinity_ring_walk_matches_legacy_frontier(self, scheduler):
         """The tier-distance ring walk reduces to the legacy remote-rack
-        frontier on a two-tier fabric, in both placement modes."""
+        frontier on a two-tier fabric, indexed and by reference search."""
         vms = generate_synthetic(SyntheticWorkloadParams(count=150), seed=4)
         derived = run_sim(paper_default(), scheduler, vms)
         explicit = run_sim(explicit_two_tier_spec(), scheduler, vms)
-        naive = run_sim(paper_default(), scheduler, vms, mode="naive")
-        assert derived == explicit == naive
+        reference = run_sim(paper_default(), scheduler, vms, reference=True)
+        assert derived == explicit == reference
 
 
 class TestMultiTierEquivalence:
@@ -82,15 +78,14 @@ class TestMultiTierEquivalence:
         "scheduler",
         [*PAPER_SCHEDULERS, "nulb_rack_affinity", "nalb_rack_affinity", "risa_pod"],
     )
-    def test_indexed_vs_naive_on_three_tiers(self, scheduler, monkeypatch):
-        """The pod/ring index queries agree with the naive scans on an
-        oversubscribed 3-tier cluster (drops and fallbacks exercised)."""
-        monkeypatch.setenv(PLACEMENT_INDEX_ENV, "indexed")
+    def test_indexed_vs_naive_on_three_tiers(self, scheduler):
+        """The pod/ring index queries agree with the reference linear scans
+        on an oversubscribed 3-tier cluster (drops and fallbacks exercised)."""
         spec = tiny_pod_test()
         vms = generate_synthetic(SyntheticWorkloadParams(count=150), seed=1)
-        indexed = run_sim(spec, scheduler, vms, mode="indexed")
-        naive = run_sim(spec, scheduler, vms, mode="naive")
-        assert indexed == naive
+        indexed = run_sim(spec, scheduler, vms)
+        reference = run_sim(spec, scheduler, vms, reference=True)
+        assert indexed == reference
         assert indexed[1]["dropped_vms"] > 0  # the fallback paths really ran
 
 

@@ -4,8 +4,8 @@ The zoo presets are ordinary :class:`~repro.config.FabricTopology` chains,
 so everything downstream — capacity index, schedulers, checkpoints,
 metrics — must work unchanged.  These tests pin that: for every paper
 scheduler over seeds 0-9, a VL2 and a fat-tree run is (a) deterministic
-across repeated runs and (b) bit-identical between the indexed and naive
-placement backends (digest, summary, end time).
+across repeated runs and (b) bit-identical between the indexed scheduler
+and its reference linear-scan search (digest, summary, end time).
 """
 
 import pytest
@@ -13,21 +13,16 @@ import pytest
 from repro.config import FabricTopology, PRESETS, fat_tree, vl2
 from repro.errors import ConfigurationError
 from repro.schedulers import PAPER_SCHEDULERS
-from repro.sim import DDCSimulator, EventLog
-from repro.topology import build_cluster, placement_mode
+from repro.topology import build_cluster
 from repro.workloads import SyntheticWorkloadParams, generate_synthetic
+from tests.sim.reference_runs import run_sim as _run_sim
 
 ZOO_PRESETS = ("vl2", "fat-tree")
 
 
-def run_sim(spec, scheduler, vms, mode="indexed"):
-    with placement_mode(mode):
-        log = EventLog()
-        sim = DDCSimulator(spec, scheduler, event_log=log)
-    result = sim.run(vms)
-    summary = result.summary.as_dict()
-    summary.pop("scheduler_time_s")
-    return log.digest(), summary, result.end_time
+def run_sim(spec, scheduler, vms, reference=False):
+    """(digest, summary, end time) of one run."""
+    return _run_sim(spec, scheduler, vms, reference=reference)[:3]
 
 
 class TestZooConstruction:
@@ -90,12 +85,12 @@ class TestZooDeterminism:
     @pytest.mark.parametrize("scheduler", PAPER_SCHEDULERS)
     @pytest.mark.parametrize("seed", range(10))
     def test_digest_pinned_across_backends(self, preset, scheduler, seed):
-        """Indexed and naive placement agree bit for bit on zoo fabrics,
+        """Indexed and reference search agree bit for bit on zoo fabrics,
         and repeated indexed runs reproduce the same digest."""
         spec = PRESETS[preset]()
         vms = generate_synthetic(SyntheticWorkloadParams(count=60), seed=seed)
-        indexed = run_sim(spec, scheduler, vms, mode="indexed")
-        again = run_sim(spec, scheduler, vms, mode="indexed")
-        naive = run_sim(spec, scheduler, vms, mode="naive")
+        indexed = run_sim(spec, scheduler, vms)
+        again = run_sim(spec, scheduler, vms)
+        reference = run_sim(spec, scheduler, vms, reference=True)
         assert indexed == again
-        assert indexed == naive
+        assert indexed == reference

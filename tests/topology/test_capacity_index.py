@@ -1,6 +1,6 @@
-"""Capacity index: segment-tree queries vs the naive linear-scan oracle.
+"""Capacity index: segment-tree queries vs a linear-scan oracle.
 
-The index must answer exactly what the naive scans answer — same box ids,
+The index must answer exactly what linear scans answer — same box ids,
 same tie-breaks — under any interleaving of allocate / release / snapshot /
 restore.  Deterministic unit tests pin each query; the randomized property
 loop (stdlib ``random``, fixed seeds) drives long mixed sequences against
@@ -12,15 +12,8 @@ import random
 import pytest
 
 from repro.config import paper_default, tiny_test, toy_example
-from repro.topology import PLACEMENT_INDEX_ENV, MaxSegmentTree, build_cluster
+from repro.topology import MaxSegmentTree, build_cluster
 from repro.types import RESOURCE_ORDER, ResourceType
-
-
-@pytest.fixture(autouse=True)
-def _indexed_mode(monkeypatch):
-    """These tests exercise the index itself; pin the mode regardless of the
-    ambient ``REPRO_PLACEMENT_INDEX`` (the naive-mode tests set it locally)."""
-    monkeypatch.setenv(PLACEMENT_INDEX_ENV, "indexed")
 
 
 # --------------------------------------------------------------------- #
@@ -174,23 +167,6 @@ class TestCapacityIndexQueries:
         got = [b.box_id for b in index.fitting_boxes(ResourceType.RAM, 4)]
         want = [b.box_id for b in boxes if b.can_fit(4)]
         assert got == want
-
-    def test_naive_mode_disables_index(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLACEMENT_INDEX", "naive")
-        cluster = build_cluster(tiny_test())
-        assert cluster.capacity_index is None
-        # Rack maxima fall back to the incremental caches.
-        box = cluster.rack(0).boxes(ResourceType.CPU)[0]
-        box.allocate(5)
-        assert cluster.rack(0).max_avail(ResourceType.CPU) == 3
-
-    def test_bad_mode_rejected(self, monkeypatch):
-        from repro.errors import SimulationError
-        from repro.topology import placement_index_mode
-
-        monkeypatch.setenv("REPRO_PLACEMENT_INDEX", "sometimes")
-        with pytest.raises(SimulationError):
-            placement_index_mode()
 
     def test_restore_rebuilds_index(self, cluster):
         index = cluster.capacity_index

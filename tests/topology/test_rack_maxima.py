@@ -117,6 +117,13 @@ def test_batched_release_onto_drained_rack_stays_drained():
     assert_table_matches_scan(cluster)
 
 
+def test_rack_max_drops_with_its_box():
+    cluster = fresh_cluster("tiny")
+    cluster.rack(0).boxes(RESOURCE_ORDER[0])[0].allocate(5)
+    assert cluster.rack(0).max_avail(RESOURCE_ORDER[0]) == 3
+    assert cluster.capacity_index.rack_max_avail(RESOURCE_ORDER[0], 0) == 3
+
+
 def test_verify_totals_oracle_flags_a_stale_table():
     cluster = fresh_cluster("tiny")
     cluster.rack_maxima()[0][1] += 1

@@ -58,10 +58,8 @@ class TestDrainRacks:
             for rtype in RESOURCE_ORDER:
                 assert rack.max_avail(rtype) == 0
         # The capacity index agrees: nothing fits in the drained pod.
-        index = cluster.capacity_index
-        if index is not None:
-            for rtype in RESOURCE_ORDER:
-                assert index.pod_max_avail(rtype, 0) == 0
+        for rtype in RESOURCE_ORDER:
+            assert cluster.capacity_index.pod_max_avail(rtype, 0) == 0
 
     def test_drain_is_sticky_across_releases(self):
         """A tenant departing from a drained rack frees nothing: the drain
